@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import dataprep, encoders, metrics, pretrain, progressive, segmentation, tensorkit as tk
+from . import dataprep, encoders, pretrain, progressive, segmentation, tensorkit as tk
 from .errors import ConfigError, DataError, SpvsError
 from .tensorkit import Rng
 
@@ -88,24 +88,22 @@ def _configs(args):
         "ssl": {},
         "summarizer": {},
     }
-    seed = args.seed if args.seed is not None else (file_cfg["seed"] or 7)
+    seed = args.seed if args.seed is not None else file_cfg["seed"]
+    if seed is None:
+        seed = 7
     enc_kwargs = dict(file_cfg["encoder"])
     ssl_kwargs = dict(file_cfg["ssl"])
     sum_kwargs = dict(file_cfg["summarizer"])
-    for attr, section, key in (
-        ("stages", sum_kwargs, "stages"),
-        ("use_text", sum_kwargs, "use_text"),
-        ("epochs", sum_kwargs, "epochs"),
-        ("folds", sum_kwargs, "folds"),
-        ("budget", sum_kwargs, "budget_fraction"),
-        ("steps", ssl_kwargs, "steps"),
-        ("lr", None, None),
+    for attr, section in (
+        ("stages", sum_kwargs),
+        ("use_text", sum_kwargs),
+        ("epochs", sum_kwargs),
+        ("folds", sum_kwargs),
+        ("steps", ssl_kwargs),
     ):
-        if attr == "lr":
-            continue
         val = getattr(args, attr, None)
         if val is not None:
-            section[key] = val
+            section[attr] = val
     if getattr(args, "lr", None) is not None:
         ssl_kwargs["lr"] = args.lr
         sum_kwargs["lr"] = args.lr
@@ -175,13 +173,6 @@ def cmd_pretrain(args):
     return 0
 
 
-def _train_once(records, sum_cfg, enc_cfg, seed, pretrained):
-    report, fold_weights = progressive.train(
-        records, sum_cfg, enc_cfg, seed, pretrained_path=pretrained
-    )
-    return report, fold_weights
-
-
 def cmd_train(args):
     records = dataprep.load_dataset(args.data)
     seed, enc_kwargs, _, sum_kwargs = _configs(args)
@@ -200,7 +191,7 @@ def cmd_train(args):
                     cfg = progressive.SummarizerConfig(
                         **{**sum_kwargs, "stages": stages, "use_text": use_text}
                     )
-                    report, _ = _train_once(
+                    report, _ = progressive.train(
                         records, cfg, enc_cfg, seed, args.pretrained if use_pre else None
                     )
                     rows.append(
@@ -224,7 +215,7 @@ def cmd_train(args):
         return 0
 
     sum_cfg = progressive.SummarizerConfig(**sum_kwargs)
-    report, fold_weights = _train_once(records, sum_cfg, enc_cfg, seed, args.pretrained)
+    report, fold_weights = progressive.train(records, sum_cfg, enc_cfg, seed, args.pretrained)
     for fold, w in enumerate(fold_weights):
         w.save(os.path.join(args.out, f"fold{fold}.ck"))
     report["encoder"] = dataclasses.asdict(enc_cfg)
@@ -238,7 +229,10 @@ def cmd_train(args):
 def _load_model_dir(model_dir):
     with open(os.path.join(model_dir, "report.json")) as fh:
         report = json.load(fh)
-    enc_cfg = encoders.EncoderConfig(**report["encoder"])
+    # older reports carry an encoder "dropout" key that EncoderConfig no longer has
+    enc_cfg = encoders.EncoderConfig(
+        **{k: v for k, v in report["encoder"].items() if k != "dropout"}
+    )
     sum_cfg = progressive.SummarizerConfig(**report["summarizer"])
     weights = [
         encoders.ModelWeights.load(
@@ -285,24 +279,26 @@ def _load_scores(path):
     return {v["id"]: np.asarray(v["final_scores"]) for v in dump["videos"]}
 
 
+def _summary_entry(rec, scores, budget):
+    if rec.id not in scores:
+        raise DataError(f"no scores for video {rec.id}")
+    s = scores[rec.id]
+    seg, summary, _ = segmentation.summarize_video(rec.features, s, budget)
+    return {
+        "id": rec.id,
+        "change_points": seg.change_points,
+        "shot_scores": segmentation.shot_scores(s, seg).tolist(),
+        "selected": summary.selected,
+        "budget_frames": summary.budget_frames,
+        "frame_mask": summary.frame_mask.astype(int).tolist(),
+    }
+
+
 def cmd_summarize(args):
     records = dataprep.load_dataset(args.data)
     scores = _load_scores(args.scores)
-
-    def one(rec):
-        if rec.id not in scores:
-            raise DataError(f"no scores for video {rec.id}")
-        seg = segmentation.kts_segment(rec.features)
-        summary = segmentation.summarize(scores[rec.id], seg, args.budget)
-        return {
-            "id": rec.id,
-            "change_points": seg.change_points,
-            "shot_scores": segmentation.shot_scores(scores[rec.id], seg).tolist(),
-            "selected": summary.selected,
-            "budget_frames": summary.budget_frames,
-            "frame_mask": summary.frame_mask.astype(int).tolist(),
-        }
-    _atomic_write_json(args.out, {"videos": _map_ordered(one, records)})
+    entries = _map_ordered(lambda rec: _summary_entry(rec, scores, args.budget), records)
+    _atomic_write_json(args.out, {"videos": entries})
     print(f"wrote summaries for {len(records)} videos to {args.out}")
     return 0
 
@@ -312,84 +308,63 @@ def cmd_segment(args):
     scores = _load_scores(args.scores) if args.scores else None
 
     def one(rec):
-        seg = segmentation.kts_segment(rec.features)
-        entry = {"id": rec.id, "change_points": seg.change_points}
-        if scores is not None:
-            if rec.id not in scores:
-                raise DataError(f"no scores for video {rec.id}")
-            summary = segmentation.summarize(scores[rec.id], seg, args.budget)
-            entry["shot_scores"] = segmentation.shot_scores(scores[rec.id], seg).tolist()
-            entry["selected"] = summary.selected
-            entry["budget_frames"] = summary.budget_frames
+        if scores is None:
+            seg = segmentation.kts_segment(rec.features)
+            return {"id": rec.id, "change_points": seg.change_points}
+        entry = _summary_entry(rec, scores, args.budget)
+        del entry["frame_mask"]
         return entry
     _atomic_write_json(args.out, {"videos": _map_ordered(one, records)})
     print(f"wrote segmentation for {len(records)} videos to {args.out}")
     return 0
 
 
+def _video_metrics(rec, s, budget):
+    rep = progressive.evaluate_scores(rec, s, budget)
+    return {m: rep[m] for m in progressive.METRICS}
+
+
 def cmd_evaluate(args):
+    """Per-video tau, rho and F.  With --model-dir, `mean` averages the fold
+    means (as train's report does); with --scores it averages the videos."""
     records = dataprep.load_dataset(args.data)
-    by_id = {r.id: r for r in records}
 
     if args.model_dir:
         report, enc_cfg, sum_cfg, weights = _load_model_dir(args.model_dir)
         vocab = dataprep.corpus_vocab(records, min_size=enc_cfg.vocab_size)
+        budget = sum_cfg.budget_fraction if args.budget is None else args.budget
 
         def one(rec):
+            s = _predict_record(rec, weights, report, sum_cfg, vocab)["final_scores"]
             fold = progressive.fold_of(rec.id, report["seed"], sum_cfg.folds)
-            return fold, progressive.evaluate_video(
-                weights[fold], rec, sum_cfg, vocab
-            )
+            return fold, rec.id, _video_metrics(rec, s, budget)
 
         tagged = _map_ordered(one, records)
-        per_video = {r["id"]: r for _, r in tagged}
-        fold_means = {}
+        per_fold = {}
         for fold in range(sum_cfg.folds):
-            vids = [r for f, r in tagged if f == fold]
+            vids = [m for f, _, m in tagged if f == fold]
             if vids:
-                fold_means[fold] = {
-                    "tau": float(np.nanmean([v["tau"] for v in vids])),
-                    "rho": float(np.nanmean([v["rho"] for v in vids])),
-                    "f": float(np.nanmean([v["f"] for v in vids])),
-                }
+                per_fold[fold] = progressive.metric_means(vids)
         out = {
-            "per_video": {
-                k: {m: v[m] for m in ("tau", "rho", "f")} for k, v in per_video.items()
-            },
-            "per_fold": fold_means,
-            "mean": {
-                m: float(np.mean([fm[m] for fm in fold_means.values()]))
-                for m in ("tau", "rho", "f")
-            },
+            "per_video": {vid: m for _, vid, m in tagged},
+            "per_fold": per_fold,
+            "mean": progressive.metric_means(per_fold.values(), np.mean),
         }
     else:
         if not args.scores:
             raise ConfigError("evaluate needs --scores or --model-dir")
         scores = _load_scores(args.scores)
+        by_id = {r.id: r for r in records}
+        budget = segmentation.DEFAULT_BUDGET_FRACTION if args.budget is None else args.budget
 
         def one(item):
             vid, s = item
             if vid not in by_id:
                 raise DataError(f"scores reference unknown video {vid}")
-            rec = by_id[vid]
-            seg = segmentation.kts_segment(rec.features)
-            pred_mask = segmentation.summarize(s, seg, args.budget).frame_mask
-            gt_masks = [
-                segmentation.summarize(np.asarray(a), seg, args.budget).frame_mask
-                for a in rec.annotations
-            ]
-            rep = metrics.evaluate(s, rec.annotations, pred_mask, gt_masks)
-            return vid, {"tau": rep["tau"], "rho": rep["rho"], "f": rep["f"]}
+            return vid, _video_metrics(by_id[vid], s, budget)
 
-        pairs = _map_ordered(one, sorted(scores.items()))
-        per_video = dict(pairs)
-        out = {
-            "per_video": per_video,
-            "mean": {
-                m: float(np.nanmean([v[m] for v in per_video.values()]))
-                for m in ("tau", "rho", "f")
-            },
-        }
+        per_video = dict(_map_ordered(one, sorted(scores.items())))
+        out = {"per_video": per_video, "mean": progressive.metric_means(per_video.values())}
     _atomic_write_json(args.out, out)
     print(json.dumps(out["mean"], sort_keys=True))
     return 0
@@ -485,8 +460,9 @@ def build_parser():
     ev.add_argument("--scores", default=None, help="score dump to evaluate")
     ev.add_argument("--model-dir", dest="model_dir", default=None,
                     help="train output directory (per-fold evaluation)")
-    ev.add_argument("--budget", type=float, default=0.15,
-                    help="summary length fraction (paper default: 0.15)")
+    ev.add_argument("--budget", type=float, default=None,
+                    help="summary length fraction (paper default: 0.15; with "
+                         "--model-dir, the model's budget_fraction)")
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_evaluate)
 

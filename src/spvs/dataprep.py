@@ -93,7 +93,7 @@ def lemmatize(word):
     while True:
         nxt = _lemma_once(word)
         if nxt == word or nxt in seen:
-            return nxt if nxt == word else nxt
+            return nxt
         seen.add(nxt)
         word = nxt
 

@@ -39,7 +39,6 @@ class EncoderConfig:
     ffn_dim: int = 0  # 0 means 4 * width
     vocab_size: int = 64
     max_positions: int = 512
-    dropout: float = 0.1  # reserved; encoders run deterministically
 
     def __post_init__(self):
         for name in ("d_f", "d_w", "video_layers", "text_layers", "heads",

@@ -37,7 +37,6 @@ class SSLConfig:
     steps: int = 2000
     log_every: int = 25
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
-    recrop_each_draw: bool = True  # crops are re-drawn every time a video is seen
 
     def __post_init__(self):
         if self.margin <= 0:
@@ -46,6 +45,8 @@ class SSLConfig:
             raise ConfigError("negative_prob must be in [0, 1]")
         if self.crop_len < 2 * self.window_radius + 1:
             raise ConfigError("crop_len must be at least 2*window_radius + 1")
+        if self.steps < 1:
+            raise ConfigError("steps must be >= 1")
 
 
 @dataclass

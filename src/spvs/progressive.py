@@ -8,7 +8,6 @@ elementwise product across stages.  Only the final product is supervised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ class SummarizerConfig:
             raise ConfigError("stages must be >= 1")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
+        segmentation.check_budget_fraction(self.budget_fraction)
 
 
 def refine_input(F_prev, s_prev):
@@ -150,27 +150,48 @@ def _crop(feats, gt, max_frames, rng):
     return feats[start : start + max_frames], gt[start : start + max_frames]
 
 
+def evaluate_scores(rec, s_star, budget_fraction):
+    """Rank metrics vs every annotator plus summary F-score for one video's
+    frame scores."""
+    _, summary, references = segmentation.summarize_video(
+        rec.features, s_star, budget_fraction, rec.annotations
+    )
+    return metrics.evaluate(
+        s_star, rec.annotations, summary.frame_mask, [r.frame_mask for r in references]
+    )
+
+
 def evaluate_video(w, rec, cfg, vocab=None):
     """Rank metrics vs every annotator plus summary F-score for one video."""
     token_ids = None
     if cfg.use_text and vocab is not None:
         token_ids = dataprep.assemble_tokens(rec.text, vocab, mode="summarize")
-    pred = predict(w, rec.features, cfg, token_ids)
-    s_star = pred["final_scores"]
-    seg = segmentation.kts_segment(rec.features)
-    pred_summary = segmentation.summarize(s_star, seg, cfg.budget_fraction).frame_mask
-    gt_summaries = [
-        segmentation.summarize(np.asarray(a), seg, cfg.budget_fraction).frame_mask
-        for a in rec.annotations
-    ]
-    report = metrics.evaluate(s_star, rec.annotations, pred_summary, gt_summaries)
+    s_star = predict(w, rec.features, cfg, token_ids)["final_scores"]
+    report = evaluate_scores(rec, s_star, cfg.budget_fraction)
     report["id"] = rec.id
     if rec.planted_scores is not None:
         report["tau_planted"] = metrics.kendall_tau(s_star, rec.planted_scores)
     return report
 
 
-def train_on(w, records, cfg, rng, vocab=None, annotations_override=None):
+METRICS = ("tau", "rho", "f")
+
+
+def metric_means(rows, mean=np.nanmean):
+    """{metric: mean over rows} for tau, rho and f, plus tau_planted when
+    every row has it.
+
+    Fold means take np.nanmean over videos, skipping an undefined tau; the
+    overall figure takes np.mean over the fold means.
+    """
+    rows = list(rows)
+    keys = METRICS
+    if rows and all("tau_planted" in r for r in rows):
+        keys += ("tau_planted",)
+    return {k: float(mean([r[k] for r in rows])) for k in keys}
+
+
+def train_on(w, records, cfg, rng, vocab=None):
     """Train the stage heads (and encoder) on a record list with Adam."""
     opt = tk.Adam(w.trainable(), lr=cfg.lr)
     ids = list(range(len(records)))
@@ -182,12 +203,7 @@ def train_on(w, records, cfg, rng, vocab=None, annotations_override=None):
             losses = []
             for i in batch:
                 rec = records[i]
-                gt = (
-                    annotations_override[rec.id]
-                    if annotations_override
-                    else _gt_scores(rec)
-                )
-                feats, gt = _crop(rec.features, gt, cfg.max_frames, rng)
+                feats, gt = _crop(rec.features, _gt_scores(rec), cfg.max_frames, rng)
                 text_feature = None
                 if cfg.use_text and vocab is not None:
                     if rec.id not in token_cache:
@@ -232,19 +248,12 @@ def train(records, cfg, enc_cfg, seed, pretrained_path=None):
             w.load_pretrained(pretrained_path)
         train_on(w, train_recs, cfg, rng.substream("loop"), vocab)
         per_video = [evaluate_video(w, r, cfg, vocab) for r in eval_recs]
-        fold_report = {
+        fold_reports.append({
             "fold": fold,
             "videos": [r["id"] for r in per_video],
-            "tau": float(np.nanmean([r["tau"] for r in per_video])),
-            "rho": float(np.nanmean([r["rho"] for r in per_video])),
-            "f": float(np.nanmean([r["f"] for r in per_video])),
             "per_video": per_video,
-        }
-        if all("tau_planted" in r for r in per_video):
-            fold_report["tau_planted"] = float(
-                np.nanmean([r["tau_planted"] for r in per_video])
-            )
-        fold_reports.append(fold_report)
+            **metric_means(per_video),
+        })
         fold_weights.append(w)
     summary = {
         "folds": fold_reports,
@@ -252,10 +261,6 @@ def train(records, cfg, enc_cfg, seed, pretrained_path=None):
         "stages": cfg.stages,
         "use_text": cfg.use_text,
         "pretrained": bool(pretrained_path),
-        "tau": float(np.mean([f["tau"] for f in fold_reports])),
-        "rho": float(np.mean([f["rho"] for f in fold_reports])),
-        "f": float(np.mean([f["f"] for f in fold_reports])),
+        **metric_means(fold_reports, np.mean),
     }
-    if all("tau_planted" in f for f in fold_reports):
-        summary["tau_planted"] = float(np.mean([f["tau_planted"] for f in fold_reports]))
     return summary, fold_weights

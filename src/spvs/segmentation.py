@@ -49,7 +49,6 @@ class Summary:
     selected: list  # bool per shot
     frame_mask: np.ndarray  # bool per frame, union of selected shots
     budget_frames: int
-    segmentation: ShotSegmentation
 
 
 def _segment_costs(K):
@@ -125,14 +124,13 @@ def shot_scores(s_star, seg):
     return np.array([s[a:b].mean() for a, b in seg.shots])
 
 
-def knapsack_select(scores, lengths, budget_frames, value_mode="mean"):
+def knapsack_select(scores, lengths, budget_frames):
     """Exact 0/1 knapsack over shots.
 
-    Maximizes the summed shot value under the frame budget.  Ties break
-    toward fewer selected frames, then the lexicographically smallest
-    shot-index set.  value_mode="mean" uses the per-shot mean score
-    (default); "mass" uses mean * length for comparability with toolchains
-    that weight by shot size.
+    Maximizes the summed score of the selected shots under the frame
+    budget; summarize passes each shot's mean frame score, so shot length
+    does not weight the value.  Ties break toward fewer selected frames,
+    then the lexicographically smallest shot-index set.
     """
     scores = [float(v) for v in scores]
     lengths = [int(l) for l in lengths]
@@ -140,18 +138,12 @@ def knapsack_select(scores, lengths, budget_frames, value_mode="mean"):
         raise ContractError("scores and lengths differ in size")
     if any(l <= 0 for l in lengths):
         raise ContractError("shot lengths must be positive")
-    if value_mode == "mass":
-        values = [v * l for v, l in zip(scores, lengths)]
-    elif value_mode == "mean":
-        values = scores
-    else:
-        raise ConfigError(f"unknown value_mode {value_mode!r}")
 
     budget = int(budget_frames)
     # table[c] = (value, frames_used, index tuple); best under capacity c
     empty = (0.0, 0, ())
     table = [empty] * (budget + 1)
-    for i, (val, wt) in enumerate(zip(values, lengths)):
+    for i, (val, wt) in enumerate(zip(scores, lengths)):
         if wt > budget:
             continue
         for c in range(budget, wt - 1, -1):
@@ -169,15 +161,33 @@ def knapsack_select(scores, lengths, budget_frames, value_mode="mean"):
     return [i in chosen for i in range(len(scores))]
 
 
-def summarize(s_star, seg, budget_fraction=DEFAULT_BUDGET_FRACTION, value_mode="mean"):
+def summarize(s_star, seg, budget_fraction=DEFAULT_BUDGET_FRACTION):
     """Select shots under floor(budget_fraction * T) frames."""
     budget = int(math.floor(budget_fraction * seg.n_frames))
-    sel = knapsack_select(shot_scores(s_star, seg), seg.shot_lengths, budget, value_mode)
+    sel = knapsack_select(shot_scores(s_star, seg), seg.shot_lengths, budget)
     mask = np.zeros(seg.n_frames, dtype=bool)
     for keep, (a, b) in zip(sel, seg.shots):
         if keep:
             mask[a:b] = True
-    return Summary(selected=sel, frame_mask=mask, budget_frames=budget, segmentation=seg)
+    return Summary(selected=sel, frame_mask=mask, budget_frames=budget)
+
+
+def check_budget_fraction(budget_fraction):
+    """Reject a summary length fraction outside (0, 1]."""
+    if not 0.0 < budget_fraction <= 1.0:
+        raise ConfigError(f"budget fraction must be in (0, 1], got {budget_fraction}")
+
+
+def summarize_video(features, scores, budget_fraction, annotations=()):
+    """KTS shots of one video, the summary of its scores, and one summary per
+    annotation, all over the same shots and budget.
+
+    Returns (segmentation, summary, reference summaries).
+    """
+    check_budget_fraction(budget_fraction)
+    seg = kts_segment(features)
+    summary = summarize(scores, seg, budget_fraction)
+    return seg, summary, [summarize(np.asarray(a), seg, budget_fraction) for a in annotations]
 
 
 def expand_to_original(frame_mask, picks, n_original_frames):

@@ -715,12 +715,12 @@ def load_checkpoint(path):
         raise FormatError(
             f"{path}: bad checkpoint magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}"
         )
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    off = 12
     out = {}
     try:
+        version, count = struct.unpack_from("<II", blob, 4)
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        off = 12
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", blob, off)
             off += 2

@@ -14,6 +14,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from spvs import (
     cli,
@@ -388,6 +389,7 @@ def test_criterion_3_progressive_invariants(capsys, tiny_cfg):
 # Criterion 4: pretraining learns correspondence and recovery
 
 
+@pytest.mark.slow
 def test_criterion_4_pretraining_sanity(capsys):
     t0 = time.monotonic()
     failures = []
@@ -471,6 +473,7 @@ def _summarizer_run(seed, tmp_dir):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_5_training_gains(capsys, tmp_path):
     failures = []
     results = [_summarizer_run(seed, str(tmp_path)) for seed in (1, 2, 3)]

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from spvs import cli, dataprep as dp
+from spvs import cli, dataprep as dp, tensorkit as tk
 from spvs.cli import main
+from spvs.errors import FormatError
 
 
 @pytest.fixture
@@ -129,6 +130,30 @@ class TestScoreSummarizeSegment:
             assert sum(v["frame_mask"]) <= v["budget_frames"]
             assert v["budget_frames"] == int(0.15 * 24)
 
+    def test_segment_with_scores_is_summary_without_mask(self, tmp_path, corpus_path,
+                                                         model_dir):
+        scores = str(tmp_path / "scores.json")
+        main(["score", "--data", corpus_path, "--model-dir", model_dir, "--out", scores])
+        summary, segments = str(tmp_path / "summary.json"), str(tmp_path / "seg.json")
+        for cmd, out in (("summarize", summary), ("segment", segments)):
+            assert main([cmd, "--data", corpus_path, "--scores", scores,
+                         "--budget", "0.5", "--out", out]) == 0
+        expect = json.load(open(summary))["videos"]
+        for v in expect:
+            del v["frame_mask"]
+        assert json.load(open(segments))["videos"] == expect
+
+    @pytest.mark.parametrize("budget", ["5", "-1", "0", "nan"])
+    def test_budget_outside_unit_interval_exit_2(self, tmp_path, corpus_path, model_dir,
+                                                 budget):
+        scores = str(tmp_path / "scores.json")
+        main(["score", "--data", corpus_path, "--model-dir", model_dir, "--out", scores])
+        out = str(tmp_path / "o.json")
+        for cmd in (["summarize", "--scores", scores], ["segment", "--scores", scores],
+                    ["evaluate", "--scores", scores], ["evaluate", "--model-dir", model_dir]):
+            assert main(cmd + ["--data", corpus_path, "--budget", budget, "--out", out]) == 2
+            assert not os.path.exists(out)
+
     def test_segment_without_scores(self, tmp_path, corpus_path):
         out = str(tmp_path / "seg.json")
         assert main(["segment", "--data", corpus_path, "--out", out]) == 0
@@ -164,6 +189,38 @@ class TestEvaluateCmd:
         ev = json.load(open(out))
         assert set(ev["mean"]) == {"tau", "rho", "f"}
         assert len(ev["per_video"]) == 6
+
+    def test_scores_and_model_dir_agree_per_video(self, tmp_path, corpus_path, model_dir):
+        scores = str(tmp_path / "scores.json")
+        main(["score", "--data", corpus_path, "--model-dir", model_dir, "--out", scores])
+        for budget in ([], ["--budget", "1.0"]):
+            by_scores, by_model = str(tmp_path / "s.json"), str(tmp_path / "m.json")
+            assert main(["evaluate", "--data", corpus_path, "--scores", scores,
+                         "--out", by_scores] + budget) == 0
+            assert main(["evaluate", "--data", corpus_path, "--model-dir", model_dir,
+                         "--out", by_model] + budget) == 0
+            per_video = [json.load(open(p))["per_video"] for p in (by_scores, by_model)]
+            assert per_video[0] == per_video[1]
+
+    def test_model_dir_honours_budget(self, tmp_path, corpus_path, model_dir):
+        f = {}
+        for budget in ("0.15", "1.0"):
+            out = str(tmp_path / f"eval{budget}.json")
+            assert main(["evaluate", "--data", corpus_path, "--model-dir", model_dir,
+                         "--budget", budget, "--out", out]) == 0
+            f[budget] = [v["f"] for v in json.load(open(out))["per_video"].values()]
+        # a full budget selects every frame for prediction and annotators alike
+        assert f["1.0"] == [1.0] * 6 and f["0.15"] != f["1.0"]
+
+    def test_model_dir_defaults_to_report_budget(self, tmp_path, corpus_path, model_dir):
+        report_path = os.path.join(model_dir, "report.json")
+        report = json.load(open(report_path))
+        report["summarizer"]["budget_fraction"] = 1.0
+        json.dump(report, open(report_path, "w"))
+        out = str(tmp_path / "eval.json")
+        assert main(["evaluate", "--data", corpus_path, "--model-dir", model_dir,
+                     "--out", out]) == 0
+        assert [v["f"] for v in json.load(open(out))["per_video"].values()] == [1.0] * 6
 
     def test_needs_scores_or_model(self, tmp_path, corpus_path):
         rc = main(["evaluate", "--data", corpus_path,
@@ -223,6 +280,58 @@ class TestErrorsAndConfig:
                      "--out", out]) == 0
         report = json.load(open(os.path.join(out, "report.json")))
         assert report["stages"] == 1 and report["seed"] == 3
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("encoder", "dropout", 0.1),
+        ("ssl", "recrop_each_draw", True),
+    ])
+    def test_removed_config_keys_exit_2(self, tmp_path, corpus_path, section, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        rc = main(["pretrain", "--data", corpus_path, "--config", str(cfg), "--steps", "1",
+                   "--out", str(tmp_path / "ssl")])
+        assert rc == 2
+
+    def test_old_report_with_dropout_loads(self, tmp_path, corpus_path, model_dir):
+        runs = {}
+        for name in ("new", "old"):
+            if name == "old":
+                report_path = os.path.join(model_dir, "report.json")
+                report = json.load(open(report_path))
+                assert "dropout" not in report["encoder"]
+                report["encoder"]["dropout"] = 0.1
+                json.dump(report, open(report_path, "w"))
+            scores, ev = str(tmp_path / f"{name}_s.json"), str(tmp_path / f"{name}_e.json")
+            assert main(["score", "--data", corpus_path, "--model-dir", model_dir,
+                         "--out", scores]) == 0
+            assert main(["evaluate", "--data", corpus_path, "--model-dir", model_dir,
+                         "--out", ev]) == 0
+            runs[name] = open(scores, "rb").read(), open(ev, "rb").read()
+        assert runs["old"] == runs["new"]
+
+    def test_config_seed_zero_is_kept(self, tmp_path, corpus_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 0,
+            "summarizer": {"stages": 1, "epochs": 1, "folds": 2, "lr": 1e-3},
+        }))
+        out = str(tmp_path / "m")
+        assert main(["train", "--data", corpus_path, "--config", str(cfg), "--out", out]) == 0
+        assert json.load(open(os.path.join(out, "report.json")))["seed"] == 0
+
+    def test_pretrain_zero_steps_exit_2(self, tmp_path, corpus_path):
+        rc = main(["pretrain", "--data", corpus_path, "--steps", "0",
+                   "--out", str(tmp_path / "ssl")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("size", [0, 4, 8, 11])
+    def test_short_checkpoint_exit_1(self, tmp_path, model_dir, size):
+        blob = open(os.path.join(model_dir, "fold0.ck"), "rb").read()[:size]
+        path = tmp_path / "short.ck"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            tk.load_checkpoint(str(path))
+        assert main(["inspect", "--checkpoint", str(path)]) == 1
 
     def test_bad_threads_env_exit_2(self, tmp_path, corpus_path, monkeypatch):
         monkeypatch.setenv("SPVS_THREADS", "lots")

@@ -20,6 +20,9 @@ class TestConfig:
             progressive.SummarizerConfig(stages=0)
         with pytest.raises(ConfigError):
             progressive.SummarizerConfig(folds=1)
+        for fraction in (0.0, -0.1, 1.01):
+            with pytest.raises(ConfigError):
+                progressive.SummarizerConfig(budget_fraction=fraction)
 
 
 class TestRefineInput:
@@ -280,3 +283,30 @@ class TestTraining:
         assert -1.0 <= rep["tau"] <= 1.0
         assert 0.0 <= rep["f"] <= 1.0
         assert "tau_planted" in rep
+
+    def test_evaluate_scores_matches_evaluate_video(self, tiny_weights):
+        rec = self._corpus(n=2, T=30)[0]
+        cfg = progressive.SummarizerConfig(stages=2, epochs=1)
+        rep = progressive.evaluate_video(tiny_weights, rec, cfg)
+        s_star = progressive.predict(tiny_weights, rec.features, cfg)["final_scores"]
+        direct = progressive.evaluate_scores(rec, s_star, cfg.budget_fraction)
+        assert {k: direct[k] for k in ("tau", "rho", "f")} == {
+            k: rep[k] for k in ("tau", "rho", "f")
+        }
+
+
+class TestMetricMeans:
+    def test_nanmean_skips_nan_rows(self):
+        rows = [{"tau": 0.5, "rho": 0.2, "f": 1.0}, {"tau": float("nan"), "rho": 0.4, "f": 0.0}]
+        assert progressive.metric_means(rows) == {"tau": 0.5, "rho": pytest.approx(0.3), "f": 0.5}
+
+    def test_plain_mean_keeps_nan(self):
+        rows = [{"tau": 0.5, "rho": 0.2, "f": 1.0}, {"tau": float("nan"), "rho": 0.4, "f": 0.0}]
+        assert np.isnan(progressive.metric_means(rows, np.mean)["tau"])
+
+    def test_tau_planted_only_when_every_row_has_it(self):
+        rows = [{"tau": 0.1, "rho": 0.1, "f": 0.1, "tau_planted": 0.5},
+                {"tau": 0.3, "rho": 0.3, "f": 0.3, "tau_planted": 0.7}]
+        assert progressive.metric_means(rows)["tau_planted"] == pytest.approx(0.6)
+        rows[1].pop("tau_planted")
+        assert "tau_planted" not in progressive.metric_means(rows)

@@ -167,17 +167,10 @@ class TestKnapsack:
                     greedy_val += values[i]
             assert got >= greedy_val - 1e-12
 
-    def test_mass_mode_weights_by_length(self):
-        # mean mode keeps the short high-mean shot; mass mode prefers the
-        # longer shot whose total score mass is larger
-        values = [0.9, 0.6]
-        lengths = [1, 4]
-        assert seg.knapsack_select(values, lengths, 4, value_mode="mean") == [True, False]
-        assert seg.knapsack_select(values, lengths, 4, value_mode="mass") == [False, True]
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            seg.knapsack_select([0.5], [1], 1, value_mode="median")
+    def test_values_are_shot_means(self):
+        # the short high-mean shot wins over the longer shot whose total
+        # score mass (0.6 * 4) is larger
+        assert seg.knapsack_select([0.9, 0.6], [1, 4], 4) == [True, False]
 
     def test_bad_length(self):
         with pytest.raises(ContractError):
@@ -205,6 +198,38 @@ class TestSummarize:
             sg = seg.ShotSegmentation(change_points=cps, n_frames=T)
             out = seg.summarize(rng.uniforms((T,), 0.0, 1.0), sg)
             assert int(out.frame_mask.sum()) <= math.floor(0.15 * T)
+
+
+class TestSummarizeVideo:
+    def test_matches_segment_then_summarize(self, rng):
+        X = np.repeat(rng.normals((3, 6)), [10, 12, 8], axis=0) + 0.01 * rng.normals((30, 6))
+        s = rng.uniforms((30,), 0.0, 1.0)
+        annotations = [rng.uniforms((30,), 0.0, 1.0).tolist() for _ in range(2)]
+        sg, summary, refs = seg.summarize_video(X, s, 0.3, annotations)
+        assert sg == seg.kts_segment(X)
+        expect = seg.summarize(s, sg, 0.3)
+        assert summary.selected == expect.selected
+        assert summary.budget_frames == expect.budget_frames == 9
+        np.testing.assert_array_equal(summary.frame_mask, expect.frame_mask)
+        assert len(refs) == 2
+        for a, ref in zip(annotations, refs):
+            np.testing.assert_array_equal(
+                ref.frame_mask, seg.summarize(np.asarray(a), sg, 0.3).frame_mask
+            )
+
+    def test_no_annotations(self, rng):
+        _, _, refs = seg.summarize_video(rng.normals((12, 4)), rng.uniforms((12,), 0.0, 1.0), 0.15)
+        assert refs == []
+
+    @pytest.mark.parametrize("fraction", [0.0, -1.0, 1.5, 5.0, float("nan")])
+    def test_budget_outside_unit_interval(self, rng, fraction):
+        with pytest.raises(ConfigError):
+            seg.summarize_video(rng.normals((12, 4)), rng.uniforms((12,), 0.0, 1.0), fraction)
+
+    def test_full_budget_allowed(self, rng):
+        X, s = rng.normals((12, 4)), rng.uniforms((12,), 0.0, 1.0)
+        _, summary, _ = seg.summarize_video(X, s, 1.0)
+        assert summary.budget_frames == 12 and summary.frame_mask.all()
 
 
 class TestExpandToOriginal:
