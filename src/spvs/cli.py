@@ -14,21 +14,12 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import dataprep, encoders, pretrain, progressive, segmentation, tensorkit as tk
-from .errors import ConfigError, DataError, SpvsError
+from .errors import ConfigError, DataError, FormatError, SpvsError
 from .tensorkit import Rng
-
-
-def _workers():
-    raw = os.environ.get("SPVS_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        raise ConfigError(f"SPVS_THREADS must be an integer, got {raw!r}") from None
 
 
 def _atomic_write_json(path, obj):
@@ -39,13 +30,15 @@ def _atomic_write_json(path, obj):
     os.replace(tmp, path)
 
 
-def _map_ordered(fn, items):
-    """Parallel map with deterministic, index-ordered results."""
-    n = _workers()
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+def _read_json(path, what):
+    """Parsed JSON of an input file; FormatError if it is not JSON."""
+    try:
+        with open(path, "rb") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +54,12 @@ _SECTIONS = {
 def load_run_config(path):
     """JSON config with sections encoder/ssl/summarizer plus seed; unknown
     keys are rejected."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        obj = _read_json(path, "config")
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     known_top = set(_SECTIONS) | {"seed"}
     unknown = set(obj) - known_top
     if unknown:
@@ -73,6 +67,8 @@ def load_run_config(path):
     out = {"seed": obj.get("seed")}
     for section, cls in _SECTIONS.items():
         body = obj.get(section, {})
+        if not isinstance(body, dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
         fields = {f.name for f in dataclasses.fields(cls)}
         bad = set(body) - fields
         if bad:
@@ -181,29 +177,18 @@ def cmd_train(args):
 
     if args.ablate:
         rows = []
+        # (pretrain, text); text fusion presumes the pretrained text encoder
+        variants = [(False, False)] + ([(True, False), (True, True)] if args.pretrained else [])
         for stages in (1, 2, 3, 4):
-            for use_pre in (False, True):
-                for use_text in (False, True):
-                    if use_text and not use_pre:
-                        continue  # text fusion presumes the pretrained text encoder
-                    if (use_pre or use_text) and not args.pretrained:
-                        continue
-                    cfg = progressive.SummarizerConfig(
-                        **{**sum_kwargs, "stages": stages, "use_text": use_text}
-                    )
-                    report, _ = progressive.train(
-                        records, cfg, enc_cfg, seed, args.pretrained if use_pre else None
-                    )
-                    rows.append(
-                        {
-                            "stages": stages,
-                            "pretrain": int(use_pre),
-                            "text": int(use_text),
-                            "tau": report["tau"],
-                            "rho": report["rho"],
-                            "f": report["f"],
-                        }
-                    )
+            for use_pre, use_text in variants:
+                cfg = progressive.SummarizerConfig(
+                    **{**sum_kwargs, "stages": stages, "use_text": use_text}
+                )
+                report, _ = progressive.train(
+                    records, cfg, enc_cfg, seed, args.pretrained if use_pre else None
+                )
+                rows.append({"stages": stages, "pretrain": int(use_pre), "text": int(use_text),
+                             **{m: report[m] for m in progressive.METRICS}})
         csv_path = os.path.join(args.out, "ablation.csv")
         tmp = csv_path + ".tmp"
         with open(tmp, "w", newline="") as fh:
@@ -227,56 +212,63 @@ def cmd_train(args):
 
 
 def _load_model_dir(model_dir):
-    with open(os.path.join(model_dir, "report.json")) as fh:
-        report = json.load(fh)
-    # older reports carry an encoder "dropout" key that EncoderConfig no longer has
-    enc_cfg = encoders.EncoderConfig(
-        **{k: v for k, v in report["encoder"].items() if k != "dropout"}
-    )
-    sum_cfg = progressive.SummarizerConfig(**report["summarizer"])
+    """(seed, encoder config, summarizer config, fold weights) of a model."""
+    path = os.path.join(model_dir, "report.json")
+    report = _read_json(path, "model report")
+    try:
+        seed = report["seed"]
+        # older reports carry an encoder "dropout" key that EncoderConfig no longer has
+        enc_cfg = encoders.EncoderConfig(
+            **{k: v for k, v in report["encoder"].items() if k != "dropout"}
+        )
+        sum_cfg = progressive.SummarizerConfig(**report["summarizer"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed model report ({exc!r})") from exc
     weights = [
         encoders.ModelWeights.load(
             os.path.join(model_dir, f"fold{fold}.ck"), enc_cfg, sum_cfg.stages
         )
         for fold in range(sum_cfg.folds)
     ]
-    return report, enc_cfg, sum_cfg, weights
+    return seed, enc_cfg, sum_cfg, weights
 
 
-def _predict_record(rec, weights_by_fold, report, sum_cfg, vocab):
-    fold = progressive.fold_of(rec.id, report["seed"], sum_cfg.folds)
-    w = weights_by_fold[fold]
-    token_ids = (
-        dataprep.assemble_tokens(rec.text, vocab, mode="summarize")
-        if sum_cfg.use_text
-        else None
-    )
-    return progressive.predict(w, rec.features, sum_cfg, token_ids)
+def _predict_record(rec, weights_by_fold, seed, sum_cfg, vocab):
+    """Scores of one record from the weights of the fold that held it out."""
+    w = weights_by_fold[progressive.fold_of(rec.id, seed, sum_cfg.folds)]
+    return progressive.predict_record(w, rec, sum_cfg, vocab)
 
 
 def cmd_score(args):
     records = dataprep.load_dataset(args.data)
-    report, enc_cfg, sum_cfg, weights = _load_model_dir(args.model_dir)
+    seed, enc_cfg, sum_cfg, weights = _load_model_dir(args.model_dir)
     vocab = dataprep.corpus_vocab(records, min_size=enc_cfg.vocab_size)
-
-    def one(rec):
-        pred = _predict_record(rec, weights, report, sum_cfg, vocab)
-        return {
+    videos = []
+    for rec in records:
+        pred = _predict_record(rec, weights, seed, sum_cfg, vocab)
+        videos.append({
             "id": rec.id,
             "stage_scores": [s.tolist() for s in pred["stage_scores"]],
             "final_scores": pred["final_scores"].tolist(),
             "picks": rec.picks.tolist(),
-        }
-    dump = {"videos": _map_ordered(one, records)}
-    _atomic_write_json(args.out, dump)
+        })
+    _atomic_write_json(args.out, {"videos": videos})
     print(f"wrote scores for {len(records)} videos to {args.out}")
     return 0
 
 
 def _load_scores(path):
-    with open(path) as fh:
-        dump = json.load(fh)
-    return {v["id"]: np.asarray(v["final_scores"]) for v in dump["videos"]}
+    """{video id: final scores} of a score dump; every score must be finite."""
+    dump = _read_json(path, "score dump")
+    try:
+        scores = {v["id"]: np.asarray(v["final_scores"], dtype=np.float64)
+                  for v in dump["videos"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed score dump ({exc!r})") from exc
+    for vid, s in scores.items():
+        if not isinstance(vid, str) or s.ndim != 1 or not np.all(np.isfinite(s)):
+            raise DataError(f"{path}: video {vid!r} needs a list of finite scores")
+    return scores
 
 
 def _summary_entry(rec, scores, budget):
@@ -297,7 +289,7 @@ def _summary_entry(rec, scores, budget):
 def cmd_summarize(args):
     records = dataprep.load_dataset(args.data)
     scores = _load_scores(args.scores)
-    entries = _map_ordered(lambda rec: _summary_entry(rec, scores, args.budget), records)
+    entries = [_summary_entry(rec, scores, args.budget) for rec in records]
     _atomic_write_json(args.out, {"videos": entries})
     print(f"wrote summaries for {len(records)} videos to {args.out}")
     return 0
@@ -306,15 +298,16 @@ def cmd_summarize(args):
 def cmd_segment(args):
     records = dataprep.load_dataset(args.data)
     scores = _load_scores(args.scores) if args.scores else None
-
-    def one(rec):
+    entries = []
+    for rec in records:
         if scores is None:
             seg = segmentation.kts_segment(rec.features)
-            return {"id": rec.id, "change_points": seg.change_points}
-        entry = _summary_entry(rec, scores, args.budget)
-        del entry["frame_mask"]
-        return entry
-    _atomic_write_json(args.out, {"videos": _map_ordered(one, records)})
+            entries.append({"id": rec.id, "change_points": seg.change_points})
+        else:
+            entry = _summary_entry(rec, scores, args.budget)
+            del entry["frame_mask"]
+            entries.append(entry)
+    _atomic_write_json(args.out, {"videos": entries})
     print(f"wrote segmentation for {len(records)} videos to {args.out}")
     return 0
 
@@ -330,23 +323,19 @@ def cmd_evaluate(args):
     records = dataprep.load_dataset(args.data)
 
     if args.model_dir:
-        report, enc_cfg, sum_cfg, weights = _load_model_dir(args.model_dir)
+        seed, enc_cfg, sum_cfg, weights = _load_model_dir(args.model_dir)
         vocab = dataprep.corpus_vocab(records, min_size=enc_cfg.vocab_size)
         budget = sum_cfg.budget_fraction if args.budget is None else args.budget
-
-        def one(rec):
-            s = _predict_record(rec, weights, report, sum_cfg, vocab)["final_scores"]
-            fold = progressive.fold_of(rec.id, report["seed"], sum_cfg.folds)
-            return fold, rec.id, _video_metrics(rec, s, budget)
-
-        tagged = _map_ordered(one, records)
-        per_fold = {}
-        for fold in range(sum_cfg.folds):
-            vids = [m for f, _, m in tagged if f == fold]
-            if vids:
-                per_fold[fold] = progressive.metric_means(vids)
+        per_video = {}
+        by_fold = {}
+        for rec in records:
+            s = _predict_record(rec, weights, seed, sum_cfg, vocab)["final_scores"]
+            per_video[rec.id] = _video_metrics(rec, s, budget)
+            fold = progressive.fold_of(rec.id, seed, sum_cfg.folds)
+            by_fold.setdefault(fold, []).append(per_video[rec.id])
+        per_fold = {fold: progressive.metric_means(by_fold[fold]) for fold in sorted(by_fold)}
         out = {
-            "per_video": {vid: m for _, vid, m in tagged},
+            "per_video": per_video,
             "per_fold": per_fold,
             "mean": progressive.metric_means(per_fold.values(), np.mean),
         }
@@ -356,14 +345,11 @@ def cmd_evaluate(args):
         scores = _load_scores(args.scores)
         by_id = {r.id: r for r in records}
         budget = segmentation.DEFAULT_BUDGET_FRACTION if args.budget is None else args.budget
-
-        def one(item):
-            vid, s = item
+        per_video = {}
+        for vid, s in sorted(scores.items()):
             if vid not in by_id:
                 raise DataError(f"scores reference unknown video {vid}")
-            return vid, _video_metrics(by_id[vid], s, budget)
-
-        per_video = dict(_map_ordered(one, sorted(scores.items())))
+            per_video[vid] = _video_metrics(by_id[vid], s, budget)
         out = {"per_video": per_video, "mean": progressive.metric_means(per_video.values())}
     _atomic_write_json(args.out, out)
     print(json.dumps(out["mean"], sort_keys=True))

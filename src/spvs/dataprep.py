@@ -11,7 +11,7 @@ import json
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -134,25 +134,11 @@ class TextBundle:
     title: list = field(default_factory=list)
     description: list = field(default_factory=list)
 
-    @classmethod
-    def from_raw(cls, category="", search_query="", title="", description=""):
-        return cls(
-            category=clean_text(category),
-            search_query=clean_text(search_query),
-            title=clean_text(title),
-            description=clean_text(description),
-        )
-
     def fields(self):
         return [self.category, self.search_query, self.title, self.description]
 
     def to_json(self):
-        return {
-            "category": self.category,
-            "search_query": self.search_query,
-            "title": self.title,
-            "description": self.description,
-        }
+        return asdict(self)
 
 
 class Vocab:
@@ -246,18 +232,23 @@ class DatasetRecord:
     planted_scores: np.ndarray | None = None  # synthetic ground truth, if any
 
     def validate(self):
-        T = self.features.shape[0]
         if self.features.ndim != 2:
             raise DataError(f"{self.id}: features must be 2-D")
+        T = self.features.shape[0]
+        per_frame = [(f"annotation {i}", a) for i, a in enumerate(self.annotations)]
+        if self.planted_scores is not None:
+            per_frame.append(("planted_scores", self.planted_scores))
+        for name, values in [("features", self.features)] + per_frame:
+            if name != "features" and np.asarray(values).shape != (T,):
+                raise DataError(f"{self.id}: {name} length != T={T}")
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"{self.id}: {name} must be finite")
         if self.picks.shape != (T,):
             raise DataError(f"{self.id}: picks length {self.picks.shape} != T={T}")
         if T and (np.any(np.diff(self.picks) <= 0) or self.picks[0] < 0):
             raise DataError(f"{self.id}: picks must be strictly increasing and nonnegative")
         if T and self.picks[-1] >= self.n_frames_original:
             raise DataError(f"{self.id}: picks exceed n_frames_original")
-        for i, ann in enumerate(self.annotations):
-            if np.asarray(ann).shape != (T,):
-                raise DataError(f"{self.id}: annotation {i} length != T={T}")
         return self
 
 
@@ -292,6 +283,8 @@ def save_dataset(records, path, blob=False):
 
 def _load_record(obj, line_no, base_dir):
     try:
+        if not isinstance(obj, dict):
+            raise DataError("record must be a JSON object")
         if obj.get("schema") != SCHEMA_VERSION:
             raise DataError(f"unsupported schema {obj.get('schema')!r}")
         if "features" in obj:
@@ -319,17 +312,21 @@ def _load_record(obj, line_no, base_dir):
             ),
         )
         return rec.validate()
-    except (KeyError, TypeError, ValueError) as exc:
+    except OSError as exc:
+        raise DataError(f"line {line_no}: cannot read features blob ({exc})") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"line {line_no}: malformed record ({exc})") from exc
     except DataError as exc:
         raise DataError(f"line {line_no}: {exc}") from None
 
 
 def load_dataset(path):
+    """Records of a JSON-lines dataset; errors name the line at fault."""
     base_dir = os.path.dirname(os.path.abspath(path))
     records = []
+    seen = {}  # video id -> line number
     try:
-        fh = open(path)
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot open dataset {path}: {exc}") from exc
     with fh:
@@ -338,9 +335,16 @@ def load_dataset(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # invalid JSON or invalid UTF-8
                 raise DataError(f"line {line_no}: invalid JSON ({exc})") from exc
-            records.append(_load_record(obj, line_no, base_dir))
+            rec = _load_record(obj, line_no, base_dir)
+            if rec.id in seen:
+                raise DataError(f"line {line_no}: duplicate video id {rec.id!r}"
+                                f" (first on line {seen[rec.id]})")
+            seen[rec.id] = line_no
+            records.append(rec)
+    if not records:
+        raise DataError(f"dataset {path} has no records")
     return records
 
 

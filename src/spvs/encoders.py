@@ -188,9 +188,6 @@ class ModelWeights:
     def __getitem__(self, name):
         return self.params[name]
 
-    def __contains__(self, name):
-        return name in self.params
-
     def names(self):
         return sorted(self.params)
 
@@ -199,6 +196,13 @@ class ModelWeights:
 
     def trainable(self):
         return {k: p for k, p in self.params.items() if p.requires_grad}
+
+    def detached(self):
+        """The same arrays, not copied, with requires_grad off: forward
+        passes on this view build no autodiff graph."""
+        return ModelWeights(
+            self.cfg, self.stages, {k: Tensor(p.data) for k, p in self.params.items()}
+        )
 
     def save(self, path):
         tk.save_checkpoint(path, self.params)
@@ -294,7 +298,7 @@ def encoder_stack(x, w, prefix, layers, heads, key_mask=None):
     return h
 
 
-def encode_video(w, F, prepend_cls, key_mask=None):
+def encode_video(w, F, prepend_cls):
     """Encode a T-by-d_f frame sequence; optionally prepend the CLS feature.
 
     Pretraining prepends CLS and reads g_0 as the sequence representation;
@@ -304,14 +308,11 @@ def encode_video(w, F, prepend_cls, key_mask=None):
     if F.data.ndim != 2 or F.data.shape[1] != cfg.d_f:
         raise DimensionError(f"encode_video: expected (T, {cfg.d_f}), got {F.data.shape}")
     x = F
-    mask = key_mask
     if prepend_cls:
         x = tk.concat([tk.reshape(w["cls_feature"], (1, cfg.d_f)), x], axis=0)
-        if mask is not None:
-            mask = np.concatenate([[True], np.asarray(mask, dtype=bool)])
     pos = positional_encoding(x.data.shape[0], cfg.d_f, cfg.max_positions + 1)
     x = tk.add(x, pos)
-    return encoder_stack(x, w, "ev", cfg.video_layers, cfg.heads, key_mask=mask)
+    return encoder_stack(x, w, "ev", cfg.video_layers, cfg.heads)
 
 
 def encode_text(w, token_ids):

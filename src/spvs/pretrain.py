@@ -291,7 +291,8 @@ def pretrain(corpus, w, cfg, rng, out_dir=None, log_path=None):
 
 
 def correspondence_accuracy(corpus, w, cfg, rng, n_pairs=200):
-    """Held-out accuracy of the coarse correspondence head."""
+    """Held-out accuracy of the coarse correspondence head, graph-free."""
+    w = w.detached()
     correct = 0
     for _ in range(n_pairs):
         s = sample_pair(corpus, rng, cfg)

@@ -45,7 +45,7 @@ def refine_input(F_prev, s_prev):
     return tk.add(tk.scale_rows(F_prev, s_prev), F_prev)
 
 
-def stage_forward(w, F, n, text_feature=None, key_mask=None):
+def stage_forward(w, F, n, text_feature=None):
     """One stage: encode, residual add, optional text fusion, sigmoid head.
 
     text_feature is a (1, d_f) visual-space vector and is only legal at the
@@ -53,7 +53,7 @@ def stage_forward(w, F, n, text_feature=None, key_mask=None):
     """
     if text_feature is not None and n != 1:
         raise ContractError("text fusion is only permitted at stage 1")
-    G = encoders.encode_video(w, F, prepend_cls=False, key_mask=key_mask)
+    G = encoders.encode_video(w, F, prepend_cls=False)
     base = tk.add(G, F)
     if text_feature is not None:
         base = tk.add(base, text_feature)
@@ -72,20 +72,17 @@ def final_scores(stage_scores):
     return out
 
 
-def vs_loss(s_star, s_gt, valid_len=None):
-    """MSE over valid (non-padded) positions."""
+def vs_loss(s_star, s_gt):
+    """Mean squared error over the frames."""
     T = s_star.data.shape[0]
     gt = np.asarray(s_gt, dtype=np.float64)
     if gt.shape != (T,):
         raise tk.DimensionError(f"vs_loss: prediction length {T} vs target {gt.shape}")
-    if valid_len is None:
-        valid_len = T
-    pred = tk.narrow(s_star, 0, valid_len)
-    diff = tk.sub(pred, Tensor(gt[:valid_len]))
-    return tk.scale(tk.tsum(tk.mul(diff, diff)), 1.0 / valid_len)
+    diff = tk.sub(s_star, Tensor(gt))
+    return tk.scale(tk.tsum(tk.mul(diff, diff)), 1.0 / T)
 
 
-def forward_stages(w, F0, n_stages, text_feature=None, key_mask=None):
+def forward_stages(w, F0, n_stages, text_feature=None):
     """Run every stage; returns (list of per-stage scores, final product)."""
     F = F0
     s_prev = None
@@ -93,9 +90,7 @@ def forward_stages(w, F0, n_stages, text_feature=None, key_mask=None):
     for n in range(1, n_stages + 1):
         if s_prev is not None:
             F = refine_input(F, s_prev)
-        _, s = stage_forward(
-            w, F, n, text_feature=text_feature if n == 1 else None, key_mask=key_mask
-        )
+        _, s = stage_forward(w, F, n, text_feature=text_feature if n == 1 else None)
         scores.append(s)
         s_prev = s
     return scores, final_scores(scores)
@@ -110,8 +105,10 @@ def text_feature_for(w, token_ids):
 def predict(w, video, cfg, token_ids=None):
     """Deterministic full forward pass over one video.
 
-    Returns {"stage_scores": [np arrays], "final_scores": np array}.
+    Runs on w.detached(), so it builds no autodiff graph.  Returns
+    {"stage_scores": [np arrays], "final_scores": np array}.
     """
+    w = w.detached()
     video = np.asarray(video, dtype=np.float64)
     if video.shape[0] > w.cfg.max_positions:
         raise CapacityError(
@@ -161,12 +158,18 @@ def evaluate_scores(rec, s_star, budget_fraction):
     )
 
 
-def evaluate_video(w, rec, cfg, vocab=None):
-    """Rank metrics vs every annotator plus summary F-score for one video."""
+def predict_record(w, rec, cfg, vocab=None):
+    """predict() on one dataset record, with its summarize-mode tokens when
+    cfg.use_text and a vocabulary are given."""
     token_ids = None
     if cfg.use_text and vocab is not None:
         token_ids = dataprep.assemble_tokens(rec.text, vocab, mode="summarize")
-    s_star = predict(w, rec.features, cfg, token_ids)["final_scores"]
+    return predict(w, rec.features, cfg, token_ids)
+
+
+def evaluate_video(w, rec, cfg, vocab=None):
+    """Rank metrics vs every annotator plus summary F-score for one video."""
+    s_star = predict_record(w, rec, cfg, vocab)["final_scores"]
     report = evaluate_scores(rec, s_star, cfg.budget_fraction)
     report["id"] = rec.id
     if rec.planted_scores is not None:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ContractError,
+    DataError,
     DimensionError,
     DomainError,
     FormatError,
@@ -709,8 +710,11 @@ def save_checkpoint(path, tensors):
 
 def load_checkpoint(path):
     """Read a checkpoint back as a name -> float64 ndarray dict."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(
             f"{path}: bad checkpoint magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}"

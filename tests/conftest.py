@@ -1,7 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from spvs import encoders, tensorkit as tk
+# One BLAS thread, set before numpy loads OpenBLAS. The matrices here are
+# small, and OpenBLAS's spinning worker threads halve throughput as soon as
+# another process competes for the CPUs: on 2 vCPUs with one busy process
+# alongside, a criterion-4 pretraining step takes 0.46 s with the default
+# two threads and 0.23-0.26 s with one. A caller's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from spvs import encoders, tensorkit as tk  # noqa: E402
 
 
 def numeric_grad_at(f, tensor, idx, h=1e-5):

@@ -1,10 +1,19 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from spvs import cli, dataprep as dp, tensorkit as tk
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
+from spvs import cli, dataprep as dp, encoders, progressive, tensorkit as tk
 from spvs.cli import main
 from spvs.errors import FormatError
 
@@ -159,16 +168,6 @@ class TestScoreSummarizeSegment:
         assert main(["segment", "--data", corpus_path, "--out", out]) == 0
         for v in json.load(open(out))["videos"]:
             assert "change_points" in v and "selected" not in v
-
-    def test_threaded_matches_serial(self, tmp_path, corpus_path, model_dir, monkeypatch):
-        p1 = str(tmp_path / "serial.json")
-        p2 = str(tmp_path / "threaded.json")
-        assert main(["score", "--data", corpus_path, "--model-dir", model_dir,
-                     "--out", p1]) == 0
-        monkeypatch.setenv("SPVS_THREADS", "4")
-        assert main(["score", "--data", corpus_path, "--model-dir", model_dir,
-                     "--out", p2]) == 0
-        assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
 class TestEvaluateCmd:
@@ -333,12 +332,6 @@ class TestErrorsAndConfig:
             tk.load_checkpoint(str(path))
         assert main(["inspect", "--checkpoint", str(path)]) == 1
 
-    def test_bad_threads_env_exit_2(self, tmp_path, corpus_path, monkeypatch):
-        monkeypatch.setenv("SPVS_THREADS", "lots")
-        bad = str(tmp_path / "o.json")
-        rc = main(["segment", "--data", corpus_path, "--out", bad])
-        assert rc == 2
-
     def test_help_marks_default_provenance(self, capsys):
         with pytest.raises(SystemExit):
             main(["train", "--help"])
@@ -348,3 +341,227 @@ class TestErrorsAndConfig:
             main(["gen-synth", "--help"])
         out = capsys.readouterr().out
         assert "desk default" in out
+
+
+# ---------------------------------------------------------------------------
+# Bad input files: each maps to exit 1 (data) or 2 (config), never a traceback
+
+
+def _write_score_dump(corpus_path, path, fill=None):
+    """A score dump holding each video's planted scores (or `fill`)."""
+    videos = [
+        {"id": r.id, "final_scores": [fill] * len(r.planted_scores) if fill is not None
+         else r.planted_scores.tolist()}
+        for r in dp.load_dataset(corpus_path)
+    ]
+    with open(path, "w") as fh:
+        json.dump({"videos": videos}, fh)
+    return path
+
+
+def _edit_record(corpus_path, edit):
+    lines = open(corpus_path).readlines()
+    obj = json.loads(lines[1])
+    edit(obj)
+    lines[1] = json.dumps(obj) + "\n"
+    open(corpus_path, "w").writelines(lines)
+
+
+def _case_missing_scores(tmp, data):
+    return ["summarize", "--data", data, "--scores", str(tmp / "nope.json")]
+
+
+def _case_unparseable_scores(tmp, data):
+    (tmp / "s.json").write_text('{"videos": [')
+    return ["summarize", "--data", data, "--scores", str(tmp / "s.json")]
+
+
+def _case_scores_without_videos(tmp, data):
+    (tmp / "s.json").write_text('{"vids": []}')
+    return ["evaluate", "--data", data, "--scores", str(tmp / "s.json")]
+
+
+def _case_missing_report(tmp, data):
+    (tmp / "model").mkdir()
+    return ["score", "--data", data, "--model-dir", str(tmp / "model")]
+
+
+def _case_unparseable_report(tmp, data):
+    (tmp / "model").mkdir()
+    (tmp / "model" / "report.json").write_text("{broken")
+    return ["evaluate", "--data", data, "--model-dir", str(tmp / "model")]
+
+
+def _case_report_without_encoder(tmp, data):
+    (tmp / "model").mkdir()
+    (tmp / "model" / "report.json").write_text('{"seed": 3, "summarizer": {}}')
+    return ["score", "--data", data, "--model-dir", str(tmp / "model")]
+
+
+def _case_missing_fold_checkpoint(tmp, data):
+    (tmp / "model").mkdir()
+    report = {
+        "seed": 3,
+        "encoder": dataclasses.asdict(encoders.EncoderConfig(d_f=8, vocab_size=160)),
+        "summarizer": dataclasses.asdict(progressive.SummarizerConfig(stages=1, folds=2)),
+    }
+    (tmp / "model" / "report.json").write_text(json.dumps(report))
+    return ["score", "--data", data, "--model-dir", str(tmp / "model")]
+
+
+def _case_missing_checkpoint(tmp, data):
+    return ["inspect", "--checkpoint", str(tmp / "nope.ck")]
+
+
+def _case_missing_blob(tmp, data):
+    blob = str(tmp / "blob.jsonl")
+    assert main(["gen-synth", "--videos", "2", "--frames", "12", "--dim", "4",
+                 "--blob", "--out", blob]) == 0
+    os.remove(tmp / "blob_vid0001.bin")
+    return ["segment", "--data", blob]
+
+
+def _case_missing_config(tmp, data):
+    return ["train", "--data", data, "--config", str(tmp / "nope.json")]
+
+
+def _case_config_not_object(tmp, data):
+    (tmp / "cfg.json").write_text("[]")
+    return ["train", "--data", data, "--config", str(tmp / "cfg.json")]
+
+
+def _case_config_section_not_object(tmp, data):
+    (tmp / "cfg.json").write_text('{"encoder": 5}')
+    return ["pretrain", "--data", data, "--config", str(tmp / "cfg.json")]
+
+
+def _case_empty_dataset(tmp, data):
+    open(data, "w").close()
+    return ["pretrain", "--data", data]
+
+
+def _case_nan_scores(tmp, data):
+    return ["summarize", "--data", data,
+            "--scores", _write_score_dump(data, str(tmp / "s.json"), float("nan"))]
+
+
+def _case_inf_scores(tmp, data):
+    return ["evaluate", "--data", data,
+            "--scores", _write_score_dump(data, str(tmp / "s.json"), float("inf"))]
+
+
+def _case_duplicate_id(tmp, data):
+    with open(data) as fh:
+        first = fh.readline()
+    with open(data, "a") as fh:
+        fh.write(first)
+    return ["segment", "--data", data]
+
+
+def _case_nan_feature(tmp, data):
+    _edit_record(data, lambda obj: obj["features"][3].__setitem__(0, float("nan")))
+    return ["segment", "--data", data]
+
+
+def _case_inf_annotation(tmp, data):
+    _edit_record(data, lambda obj: obj["annotations"][1].__setitem__(5, float("-inf")))
+    return ["segment", "--data", data]
+
+
+def _case_nan_planted(tmp, data):
+    _edit_record(data, lambda obj: obj["planted_scores"].__setitem__(0, float("nan")))
+    return ["segment", "--data", data]
+
+
+@pytest.mark.parametrize("case,code", [
+    (_case_missing_scores, 1),
+    (_case_unparseable_scores, 1),
+    (_case_scores_without_videos, 1),
+    (_case_missing_report, 1),
+    (_case_unparseable_report, 1),
+    (_case_report_without_encoder, 1),
+    (_case_missing_fold_checkpoint, 1),
+    (_case_missing_checkpoint, 1),
+    (_case_missing_blob, 1),
+    (_case_missing_config, 2),
+    (_case_config_not_object, 2),
+    (_case_config_section_not_object, 2),
+    (_case_empty_dataset, 1),
+    (_case_nan_scores, 1),
+    (_case_inf_scores, 1),
+    (_case_duplicate_id, 1),
+    (_case_nan_feature, 1),
+    (_case_inf_annotation, 1),
+    (_case_nan_planted, 1),
+], ids=lambda v: v.__name__[len("_case_"):] if callable(v) else str(v))
+def test_bad_input_file_exit_code(tmp_path, corpus_path, capsys, case, code):
+    out = str(tmp_path / "out.json")
+    argv = case(tmp_path, corpus_path)
+    if argv[0] != "inspect":
+        argv += ["--out", out]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(("data error:", "config error:", "error:"))
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_nonfinite_scores_error_names_video(tmp_path, corpus_path, capsys):
+    scores = _write_score_dump(corpus_path, str(tmp_path / "s.json"), float("nan"))
+    assert main(["summarize", "--data", corpus_path, "--scores", scores,
+                 "--out", str(tmp_path / "o.json")]) == 1
+    assert "vid0000" in capsys.readouterr().err
+
+
+if HAVE_HYPOTHESIS:
+
+    @pytest.fixture(scope="module")
+    def fuzz_dirs(tmp_path_factory):
+        """Small valid inputs of every kind in orig/, copied to work/."""
+        orig, work = tmp_path_factory.mktemp("orig"), tmp_path_factory.mktemp("work")
+        args = ["gen-synth", "--videos", "2", "--frames", "12", "--dim", "4", "--seed", "3"]
+        assert main(args + ["--out", str(orig / "data.jsonl")]) == 0
+        assert main(args + ["--blob", "--out", str(orig / "blob.jsonl")]) == 0
+        _write_score_dump(str(orig / "data.jsonl"), str(orig / "scores.json"))
+        w = encoders.ModelWeights.initialize(
+            encoders.EncoderConfig(d_f=4, d_w=4, video_layers=0, text_layers=0,
+                                   heads=1, vocab_size=8), 1, tk.Rng(3))
+        w.save(str(orig / "w.ck"))
+        for p in orig.iterdir():
+            (work / p.name).write_bytes(p.read_bytes())
+        return orig, work
+
+    # fuzzed file -> the commands that read it
+    _FUZZ_COMMANDS = {
+        "w.ck": [["inspect", "--checkpoint", "w.ck"]],
+        "data.jsonl": [["segment", "--data", "data.jsonl"],
+                       ["summarize", "--data", "data.jsonl", "--scores", "scores.json"]],
+        "blob.jsonl": [["segment", "--data", "blob.jsonl"]],
+        "blob_vid0001.bin": [["segment", "--data", "blob.jsonl"]],
+        "scores.json": [["summarize", "--data", "data.jsonl", "--scores", "scores.json"],
+                        ["segment", "--data", "data.jsonl", "--scores", "scores.json"]],
+    }
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_FUZZ_COMMANDS)),
+        cut=st.one_of(st.none(), st.integers(min_value=0)),
+        flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 7)), max_size=3),
+    )
+    def test_fuzzed_inputs_never_raise(fuzz_dirs, name, cut, flips):
+        orig, work = fuzz_dirs
+        blob = bytearray((orig / name).read_bytes())
+        if cut is not None:
+            del blob[cut % (len(blob) + 1):]
+        for pos, bit in flips:
+            if blob:
+                blob[pos % len(blob)] ^= 1 << bit
+        (work / name).write_bytes(bytes(blob))
+        try:
+            for cmd in _FUZZ_COMMANDS[name]:
+                argv = [str(work / a) if (orig / a).is_file() else a for a in cmd]
+                if cmd[0] != "inspect":
+                    argv += ["--out", str(work / "out.json")]
+                assert main(argv) in (0, 1, 2)
+        finally:
+            (work / name).write_bytes((orig / name).read_bytes())

@@ -184,6 +184,15 @@ class TestWeightStore:
             pre["ev.layer0.attn.wq"].data.astype(np.float32).astype(np.float64),
         )
 
+    def test_detached_shares_arrays_without_grad(self, tiny_weights):
+        view = tiny_weights.detached()
+        assert view.cfg is tiny_weights.cfg and view.stages == tiny_weights.stages
+        assert view.names() == tiny_weights.names()
+        for n in tiny_weights.names():
+            assert view[n].data is tiny_weights[n].data
+            assert not view[n].requires_grad and tiny_weights[n].requires_grad
+        assert view.trainable() == {}
+
     def test_freeze_text_encoder(self, tiny_weights):
         tiny_weights.freeze_text_encoder()
         assert not tiny_weights["embed.word"].requires_grad

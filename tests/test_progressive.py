@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spvs import dataprep as dp
-from spvs import encoders, progressive, tensorkit as tk
+from spvs import encoders, pretrain, progressive, tensorkit as tk
 from spvs.errors import CapacityError, ConfigError, ContractError, DimensionError
 from spvs.tensorkit import Tensor
 
@@ -129,11 +129,6 @@ class TestVsLoss:
         # errors 0.5 and 0.5 -> mean square 0.25
         assert progressive.vs_loss(s, [0.5, 0.5]).item() == pytest.approx(0.25, abs=1e-15)
 
-    def test_valid_len_ignores_padding(self):
-        s = Tensor(np.array([0.5, 0.5, 99.0]))
-        out = progressive.vs_loss(s, [0.5, 0.5, 0.0], valid_len=2)
-        assert out.item() == 0.0
-
     def test_gradient_matches_finite_differences(self, tiny_weights, rng):
         F0 = Tensor(rng.normals((6, 8)))
         gt = rng.uniforms((6,), 0.0, 1.0)
@@ -187,6 +182,70 @@ class TestPredict:
         tiny_weights["head.stage2.b"].data[...] = b1
         swapped = progressive.predict(tiny_weights, video, cfg)["final_scores"]
         assert not np.allclose(base, swapped)
+
+
+class TestGraphFreeInference:
+    """predict and correspondence_accuracy run on a detached view of the
+    weights: no op result joins an autodiff graph, and the weights keep
+    their requires_grad flags and gradients."""
+
+    @staticmethod
+    def _spy_results(monkeypatch):
+        results = []
+        real = tk._result
+
+        def spy(data, parents, backward):
+            out = real(data, parents, backward)
+            results.append(out)
+            return out
+
+        monkeypatch.setattr(tk, "_result", spy)
+        return results
+
+    @staticmethod
+    def _grad_state(w):
+        return {
+            n: (w[n].requires_grad, None if w[n].grad is None else w[n].grad.tobytes())
+            for n in w.names()
+        }
+
+    def test_predict_builds_no_graph(self, tiny_weights, rng, monkeypatch):
+        cfg = progressive.SummarizerConfig(stages=3, use_text=True)
+        video = rng.normals((12, 8))
+        tokens = [encoders.CLS_ID, 4, 5, encoders.SEP_ID, 6, encoders.PAD_ID]
+        tiny_weights.freeze_text_encoder()
+        tiny_weights["head.stage1.w"].grad = np.ones((8, 1))
+        before = self._grad_state(tiny_weights)
+
+        results = self._spy_results(monkeypatch)
+        out = progressive.predict(tiny_weights, video, cfg, tokens)
+        monkeypatch.undo()
+        assert results
+        assert not any(r.requires_grad or r._parents or r._backward for r in results)
+        assert self._grad_state(tiny_weights) == before
+
+        text = progressive.text_feature_for(tiny_weights, tokens)
+        scores, s_star = progressive.forward_stages(tiny_weights, Tensor(video), 3, text)
+        assert s_star.requires_grad
+        assert out["final_scores"].tobytes() == s_star.data.tobytes()
+        for got, s in zip(out["stage_scores"], scores):
+            assert got.tobytes() == s.data.tobytes()
+
+    def test_correspondence_accuracy_builds_no_graph(self, tiny_weights, rng, monkeypatch):
+        corpus = [
+            (f"v{i}", rng.normals((10, 8)), [encoders.CLS_ID, 4 + i, 5, encoders.SEP_ID])
+            for i in range(3)
+        ]
+        cfg = pretrain.SSLConfig(crop_len=9, window_radius=4)
+        tiny_weights["mlp_cls.w0"].grad = np.zeros((12, 8))
+        before = self._grad_state(tiny_weights)
+
+        results = self._spy_results(monkeypatch)
+        acc = pretrain.correspondence_accuracy(corpus, tiny_weights, cfg, tk.Rng(5), n_pairs=6)
+        monkeypatch.undo()
+        assert 0.0 <= acc <= 1.0
+        assert results and not any(r.requires_grad or r._parents for r in results)
+        assert self._grad_state(tiny_weights) == before
 
 
 class TestFolds:
