@@ -12,13 +12,19 @@ final layer norm after the last block.  A zero-layer stack is the identity.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensorkit as tk
-from .errors import CapacityError, ConfigError, ContractError, DimensionError, VocabularyError
+from .errors import (
+    CapacityError,
+    ConfigError,
+    ContractError,
+    DimensionError,
+    VocabularyError,
+    check_field_types,
+)
 from .tensorkit import Tensor
 
 PAD_ID = 0
@@ -41,6 +47,7 @@ class EncoderConfig:
     max_positions: int = 512
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("d_f", "d_w", "video_layers", "text_layers", "heads",
                      "vocab_size", "max_positions"):
             if getattr(self, name) < (0 if name.endswith("layers") else 1):
@@ -158,6 +165,17 @@ def expected_param_count(cfg, stages):
     return total
 
 
+def pretrained_names(arrays, cfg, stages):
+    """Names, in parameter order, that load_pretrained copies from a
+    checkpoint's arrays: every tensor but the stage heads whose shape
+    matches."""
+    return [
+        name for name, shape in parameter_shapes(cfg, stages).items()
+        if not name.startswith("head.stage")
+        and name in arrays and tuple(arrays[name].shape) == tuple(shape)
+    ]
+
+
 class ModelWeights:
     """Named-tensor store for all learnable parameters."""
 
@@ -167,13 +185,20 @@ class ModelWeights:
         self.params = params
 
     @classmethod
-    def initialize(cls, cfg, stages, rng):
-        """Fresh weights; every tensor drawn from a named sub-stream."""
+    def initialize(cls, cfg, stages, rng, skip=()):
+        """Fresh weights; every tensor drawn from a named sub-stream.
+
+        Tensors named in `skip` are left as zeros for load_pretrained to
+        overwrite; since every tensor has its own sub-stream, skipping one
+        leaves the draws of the others unchanged.
+        """
         params = {}
         for name, shape in parameter_shapes(cfg, stages).items():
             stream = rng.substream(f"init/{name}")
             leaf = name.rsplit(".", 1)[-1]
-            if leaf in ("g",):  # layer-norm gains
+            if name in skip:
+                params[name] = Tensor(np.zeros(shape), requires_grad=True)
+            elif leaf in ("g",):  # layer-norm gains
                 params[name] = Tensor(np.ones(shape), requires_grad=True)
             elif leaf.startswith("b"):  # all biases (and layer-norm shifts)
                 params[name] = Tensor(np.zeros(shape), requires_grad=True)
@@ -227,15 +252,11 @@ class ModelWeights:
     def load_pretrained(self, path):
         """Copy pretrained encoder/head tensors; stage heads stay fresh."""
         arrays = tk.load_checkpoint(path)
-        loaded = []
-        for name, p in self.params.items():
-            if name.startswith("head.stage"):
-                continue
-            if name in arrays and tuple(arrays[name].shape) == p.data.shape:
-                p.data = arrays[name].copy()
-                loaded.append(name)
+        loaded = pretrained_names(arrays, self.cfg, self.stages)
         if not loaded:
             raise ContractError(f"{path}: no matching tensors to load")
+        for name in loaded:
+            self.params[name].data = arrays[name].copy()
         return loaded
 
     def freeze_text_encoder(self):
@@ -253,42 +274,31 @@ def _linear(x, w, b):
     return tk.add(tk.matmul(x, w), b)
 
 
-def _attention(x, w, prefix, heads, mask_bias):
-    T, d = x.data.shape
-    dh = d // heads
+def _attention(x, w, prefix, heads, key_bias):
     q = _linear(x, w[f"{prefix}.attn.wq"], w[f"{prefix}.attn.bq"])
     k = _linear(x, w[f"{prefix}.attn.wk"], w[f"{prefix}.attn.bk"])
     v = _linear(x, w[f"{prefix}.attn.wv"], w[f"{prefix}.attn.bv"])
-    outs = []
-    for h in range(heads):
-        qh = tk.narrow(q, h * dh, dh, axis=1)
-        kh = tk.narrow(k, h * dh, dh, axis=1)
-        vh = tk.narrow(v, h * dh, dh, axis=1)
-        scores = tk.scale(tk.matmul(qh, tk.transpose(kh)), 1.0 / math.sqrt(dh))
-        if mask_bias is not None:
-            scores = tk.add(scores, mask_bias)
-        attn = tk.softmax_rows(scores)
-        outs.append(tk.matmul(attn, vh))
-    merged = tk.concat(outs, axis=1)
+    merged = tk.attention(q, k, v, heads, key_bias)
     return _linear(merged, w[f"{prefix}.attn.wo"], w[f"{prefix}.attn.bo"])
 
 
 def encoder_stack(x, w, prefix, layers, heads, key_mask=None):
-    """Pre-LN transformer stack; `key_mask` is a bool array (True = attend)."""
-    mask_bias = None
+    """Pre-LN transformer stack over (T, d) or batched (B, T, d) input;
+    `key_mask` is a bool array of x's leading shape (True = attend)."""
+    key_bias = None
     if key_mask is not None:
         key_mask = np.asarray(key_mask, dtype=bool)
-        if key_mask.shape != (x.data.shape[0],):
+        if key_mask.shape != x.data.shape[:-1]:
             raise DimensionError(
-                f"key_mask length {key_mask.shape} does not match sequence {x.data.shape[0]}"
+                f"key_mask shape {key_mask.shape} does not match sequence {x.data.shape[:-1]}"
             )
         if not key_mask.all():
-            mask_bias = Tensor(np.where(key_mask, 0.0, -1e30)[None, :])
+            key_bias = np.where(key_mask, 0.0, -1e30)
     h = x
     for i in range(layers):
         base = f"{prefix}.layer{i}"
         a = tk.layer_norm_rows(h, w[f"{base}.ln1.g"], w[f"{base}.ln1.b"])
-        h = tk.add(h, _attention(a, w, base, heads, mask_bias))
+        h = tk.add(h, _attention(a, w, base, heads, key_bias))
         f = tk.layer_norm_rows(h, w[f"{base}.ln2.g"], w[f"{base}.ln2.b"])
         f = tk.gelu(_linear(f, w[f"{base}.ffn.w1"], w[f"{base}.ffn.b1"]))
         f = _linear(f, w[f"{base}.ffn.w2"], w[f"{base}.ffn.b2"])
@@ -299,36 +309,43 @@ def encoder_stack(x, w, prefix, layers, heads, key_mask=None):
 
 
 def encode_video(w, F, prepend_cls):
-    """Encode a T-by-d_f frame sequence; optionally prepend the CLS feature.
+    """Encode a (T, d_f) frame sequence, or a (B, T, d_f) batch of them;
+    optionally prepend the CLS feature to each.
 
     Pretraining prepends CLS and reads g_0 as the sequence representation;
     the summarizer does not.  Positions cover the full (CLS-extended) input.
     """
     cfg = w.cfg
-    if F.data.ndim != 2 or F.data.shape[1] != cfg.d_f:
-        raise DimensionError(f"encode_video: expected (T, {cfg.d_f}), got {F.data.shape}")
+    if F.data.ndim not in (2, 3) or F.data.shape[-1] != cfg.d_f:
+        raise DimensionError(
+            f"encode_video: expected ([B,] T, {cfg.d_f}), got {F.data.shape}"
+        )
     x = F
     if prepend_cls:
-        x = tk.concat([tk.reshape(w["cls_feature"], (1, cfg.d_f)), x], axis=0)
-    pos = positional_encoding(x.data.shape[0], cfg.d_f, cfg.max_positions + 1)
+        # adding zeros broadcasts the one CLS row over the batch
+        cls = tk.add(tk.reshape(w["cls_feature"], (1, cfg.d_f)),
+                     Tensor(np.zeros(F.data.shape[:-2] + (1, cfg.d_f))))
+        x = tk.concat([cls, x], axis=-2)
+    pos = positional_encoding(x.data.shape[-2], cfg.d_f, cfg.max_positions + 1)
     x = tk.add(x, pos)
     return encoder_stack(x, w, "ev", cfg.video_layers, cfg.heads)
 
 
 def encode_text(w, token_ids):
-    """Encode a token sequence (CLS already at position 0); pads are masked."""
+    """Encode a token sequence, or a (B, L) batch of equal-length ones (CLS
+    already at position 0); pads are masked."""
     cfg = w.cfg
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size < 1:
-        raise ContractError("encode_text expects a nonempty 1-D token id list")
-    if ids[0] != CLS_ID:
+    if ids.ndim not in (1, 2) or ids.size < 1:
+        raise ContractError("encode_text expects a nonempty 1-D token id list or a 2-D batch")
+    if np.any(ids[..., 0] != CLS_ID):
         raise ContractError("token sequence must start with [CLS]")
     if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
         raise VocabularyError(
             f"token id out of range for vocab_size {cfg.vocab_size}"
         )
     x = tk.gather_rows(w["embed.word"], ids)
-    pos = positional_encoding(ids.size, cfg.d_w, cfg.max_positions + 1)
+    pos = positional_encoding(ids.shape[-1], cfg.d_w, cfg.max_positions + 1)
     x = tk.add(x, pos)
     key_mask = ids != PAD_ID
     return encoder_stack(x, w, "et", cfg.text_layers, cfg.heads, key_mask=key_mask)
@@ -347,23 +364,23 @@ def _mlp(w, prefix, x, n_layers, final):
 
 def mlp_cls(w, g0, z0):
     """Correspondence probability from concatenated sequence representations."""
-    x = tk.concat([g0, z0], axis=1)
-    if x.data.shape[1] != w.cfg.d_f + w.cfg.d_w:
+    x = tk.concat([g0, z0], axis=-1)
+    if x.data.shape[-1] != w.cfg.d_f + w.cfg.d_w:
         raise DimensionError(
-            f"mlp_cls: expected width {w.cfg.d_f + w.cfg.d_w}, got {x.data.shape[1]}"
+            f"mlp_cls: expected width {w.cfg.d_f + w.cfg.d_w}, got {x.data.shape[-1]}"
         )
     return _mlp(w, "mlp_cls", x, 3, final="sigmoid")
 
 
 def mlp_t(w, z):
     """Map word-space vectors into the visual space (linear output)."""
-    if z.data.shape[1] != w.cfg.d_w:
-        raise DimensionError(f"mlp_t: expected width {w.cfg.d_w}, got {z.data.shape[1]}")
+    if z.data.shape[-1] != w.cfg.d_w:
+        raise DimensionError(f"mlp_t: expected width {w.cfg.d_w}, got {z.data.shape[-1]}")
     return _mlp(w, "mlp_t", z, 2, final="linear")
 
 
 def mlp_s(w, g):
     """Smooth-transition probability from an encoded frame feature."""
-    if g.data.shape[1] != w.cfg.d_f:
-        raise DimensionError(f"mlp_s: expected width {w.cfg.d_f}, got {g.data.shape[1]}")
+    if g.data.shape[-1] != w.cfg.d_f:
+        raise DimensionError(f"mlp_s: expected width {w.cfg.d_f}, got {g.data.shape[-1]}")
     return _mlp(w, "mlp_s", g, 2, final="sigmoid")

@@ -1,6 +1,6 @@
 """Self-supervised pretraining: correspondence, set-distance, frame recovery.
 
-Three objectives share one encoding pass per sample:
+Three objectives share one batched encoding pass per optimizer step:
 
 * coarse correspondence -- BCE on the CLS-vs-CLS pairing probability,
 * fine correspondence -- margin loss on the Hausdorff distance between the
@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import encoders, tensorkit as tk
 from .encoders import CLS_ID, PAD_ID, SEP_ID
-from .errors import ConfigError, ContractError, NumericsError
+from .errors import ConfigError, ContractError, check_field_types
 from .tensorkit import Tensor
 
 
@@ -39,6 +39,7 @@ class SSLConfig:
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
+        check_field_types(self)
         if self.margin <= 0:
             raise ConfigError("margin must be positive")
         if not 0.0 <= self.negative_prob <= 1.0:
@@ -47,6 +48,8 @@ class SSLConfig:
             raise ConfigError("crop_len must be at least 2*window_radius + 1")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
 
 
 @dataclass
@@ -85,40 +88,39 @@ def sample_pair(corpus, rng, cfg):
 
 
 def coarse_loss(w, g0, z0, y):
-    """BCE on the pairing probability; returns (loss tensor, p_c value)."""
+    """BCE on the pairing probability; returns (loss tensor, p_c values).
+
+    Rank-generic: g0 (..., 1, d_f) and z0 (..., 1, d_w) hold one pair per
+    label in y (an int for one sample).  The loss is -log(q) with
+    q = (1 - y) + (2y - 1) p, which is exactly p for y = 1 and 1 - p for
+    y = 0.
+    """
+    y = np.asarray(y, dtype=np.float64)
     p = encoders.mlp_cls(w, g0, z0)
     p = tk.clip(p, 1e-7, 1.0 - 1e-7)
-    p = tk.reshape(p, ())
-    if y == 1:
-        loss = tk.neg(tk.log(p))
-    else:
-        loss = tk.neg(tk.log(tk.sub(1.0, p)))
-    return loss, float(p.data)
+    p = tk.reshape(p, y.shape)
+    q = tk.add(1.0 - y, tk.mul(2.0 * y - 1.0, p))
+    return tk.neg(tk.log(q)), p.data
 
 
-def hausdorff_distance(g_set, z_mapped):
-    """Symmetric Hausdorff distance between two row sets of unit vectors.
+def _take_rows(x, rows):
+    """Row gather per leading index: x is (..., T, d) and rows an int array
+    (..., m) of row numbers; returns (..., m, d)."""
+    *lead, T, d = x.data.shape
+    offset = np.arange(int(np.prod(lead)), dtype=np.int64).reshape(lead) * T
+    return tk.gather_rows(tk.reshape(x, (-1, d)), offset[..., None] + rows)
 
-    Rows are L2-normalized inside.  The value is computed numerically to
-    locate the max/min selections and then rebuilt symbolically through the
-    selected pair only, which is the subgradient of the piecewise-smooth
-    objective.
-    """
-    if g_set.data.ndim != 2 or z_mapped.data.ndim != 2:
-        raise ContractError("hausdorff_distance expects two matrices")
-    if g_set.data.shape[0] == 0 or z_mapped.data.shape[0] == 0:
-        raise ContractError("hausdorff_distance over an empty set")
-    if g_set.data.shape[1] != z_mapped.data.shape[1]:
-        raise ContractError(
-            f"member widths differ: {g_set.data.shape[1]} vs {z_mapped.data.shape[1]}"
-        )
+
+def _hausdorff_pair(g, z):
+    """(t, i): rows of g and z whose unit vectors are the symmetric
+    Hausdorff distance apart."""
 
     def _unit(a):
         n = np.sqrt((a**2).sum(axis=1, keepdims=True))
         return a / np.maximum(n, 1e-300)
 
-    gu = _unit(g_set.data)
-    zu = _unit(z_mapped.data)
+    gu = _unit(g)
+    zu = _unit(z)
     # D[t, i] = |gu_t - zu_i|
     sq = np.maximum(
         (gu**2).sum(1)[:, None] + (zu**2).sum(1)[None, :] - 2.0 * gu @ zu.T, 0.0
@@ -130,66 +132,105 @@ def hausdorff_distance(g_set, z_mapped):
     mins_z = D.min(axis=0)
     i_star = int(mins_z.argmax())
     t_for_i = int(D[:, i_star].argmin())
-
     if mins_g[t_star] >= mins_z[i_star]:
-        t_sel, i_sel = t_star, i_for_t
-    else:
-        t_sel, i_sel = t_for_i, i_star
+        return t_star, i_for_t
+    return t_for_i, i_star
 
-    u = tk.l2_normalize_rows(tk.narrow(g_set, t_sel, 1))
-    v = tk.l2_normalize_rows(tk.narrow(z_mapped, i_sel, 1))
-    diff = tk.sub(u, v)
-    return tk.reshape(tk.sqrt(tk.tsum(tk.mul(diff, diff))), ())
+
+def hausdorff_distance(g_set, z_mapped, z_rows=None):
+    """Symmetric Hausdorff distance between two row sets of unit vectors.
+
+    Rank-generic: g_set (..., T, d) and z_mapped (..., N, d) hold one pair
+    of sets per leading index, and the result has the leading shape.
+    `z_rows`, when given, lists per leading index (in C order) the rows of
+    z_mapped that belong to the set; by default all rows do.  Rows are
+    L2-normalized inside.  The value is computed numerically to locate the
+    max/min selections and then rebuilt symbolically through the selected
+    pair only, which is the subgradient of the piecewise-smooth objective.
+    """
+    if g_set.data.ndim < 2 or g_set.data.ndim != z_mapped.data.ndim:
+        raise ContractError("hausdorff_distance expects two matrices or two stacks of them")
+    lead = g_set.data.shape[:-2]
+    if z_mapped.data.shape[:-2] != lead:
+        raise ContractError(
+            f"set stacks differ: {g_set.data.shape[:-2]} vs {z_mapped.data.shape[:-2]}"
+        )
+    if g_set.data.shape[-1] != z_mapped.data.shape[-1]:
+        raise ContractError(
+            f"member widths differ: {g_set.data.shape[-1]} vs {z_mapped.data.shape[-1]}"
+        )
+    t_sel = np.zeros(lead + (1,), dtype=np.int64)
+    i_sel = np.zeros(lead + (1,), dtype=np.int64)
+    for n, idx in enumerate(np.ndindex(*lead)):
+        z = z_mapped.data[idx]
+        rows = np.arange(z.shape[0]) if z_rows is None else np.asarray(z_rows[n], np.int64)
+        if g_set.data.shape[-2] == 0 or rows.size == 0:
+            raise ContractError("hausdorff_distance over an empty set")
+        t, i = _hausdorff_pair(g_set.data[idx], z[rows])
+        t_sel[idx], i_sel[idx] = t, rows[i]
+    u = tk.l2_normalize_rows(_take_rows(g_set, t_sel))
+    v = tk.l2_normalize_rows(_take_rows(z_mapped, i_sel))
+    return tk.reshape(tk.row_norms(tk.sub(u, v)), lead)
 
 
 def fine_loss(d_h, y, margin):
-    """Contrastive set loss: y*d^2 + (1-y)*max(0, m - d^2)."""
+    """Contrastive set loss: y*d^2 + (1-y)*max(0, m - d^2).
+
+    y is 0 or 1 per element of d_h, so each sample takes exactly one term.
+    """
+    y = np.asarray(y, dtype=np.float64)
     d_sq = tk.mul(d_h, d_h)
-    if y == 1:
-        return d_sq
-    return tk.relu(tk.sub(margin, d_sq))
+    return tk.add(tk.mul(y, d_sq), tk.mul(1.0 - y, tk.relu(tk.sub(margin, d_sq))))
+
+
+def _mask_at(w, F, t):
+    """F (..., T, d_f) with row t of each sequence replaced by the mask
+    token; t is an int array of F's leading shape."""
+    T, d_f = F.data.shape[-2:]
+    onehot = (np.arange(T) == t[..., None])[..., None]
+    target = Tensor(np.take_along_axis(F.data, t[..., None, None], axis=-2))
+    # F * keep + onehot * token: bitwise F off the masked rows, the token on them
+    masked = tk.add(
+        tk.mul(F, Tensor(~onehot)),
+        tk.mul(Tensor(onehot), tk.reshape(w["mask_token"], (1, d_f))),
+    )
+    return masked, t, target
 
 
 def mask_frame(w, F, rng):
     """Replace one uniformly chosen frame with the learnable mask token.
 
-    Returns (masked sequence, masked index, original frame as a constant).
+    F is (T, d_f) or a (..., T, d_f) stack; one index per sequence is drawn
+    from rng in C order.  Returns (masked sequences, masked indices as an
+    int array of the leading shape, original frames as a (..., 1, d_f)
+    constant).
     """
-    T, d_f = F.data.shape
+    *lead, T, _ = F.data.shape
     if T < 1:
         raise ContractError("mask_frame needs at least one frame")
-    t = int(rng.randint(T))
-    target = Tensor(F.data[t].copy().reshape(1, d_f))
-    rows = []
-    if t > 0:
-        rows.append(tk.narrow(F, 0, t))
-    rows.append(tk.reshape(w["mask_token"], (1, d_f)))
-    if t < T - 1:
-        rows.append(tk.narrow(F, t + 1, T - 1 - t))
-    return tk.concat(rows, axis=0), t, target
+    t = np.array([rng.randint(T) for _ in range(int(np.prod(lead)))], dtype=np.int64)
+    return _mask_at(w, F, t.reshape(lead))
 
 
 def recover_frame(w, F_masked, G, t, k):
     """Blend a local-window prediction with a global-context prediction.
 
-    The window is 2k+1 raw rows of the masked sequence centered at t,
-    zero-padded outside [0, T); G carries CLS at row 0, so the encoded
-    masked feature sits at offset t+1.
+    Rank-generic: F_masked (..., T, d_f) and G (..., T+1, d_f) with one
+    masked index per sequence in t.  The window is 2k+1 raw rows of the
+    masked sequence centered at t, zero-padded outside [0, T); G carries
+    CLS at row 0, so the encoded masked feature sits at offset t+1.
+    Returns f_hat (..., 1, d_f) and the gate p_s (..., 1, 1).
     """
-    T, d_f = F_masked.data.shape
-    lo, hi = t - k, t + k + 1
-    rows = []
-    if lo < 0:
-        rows.append(Tensor(np.zeros((-lo, d_f))))
-    rows.append(tk.narrow(F_masked, max(lo, 0), min(hi, T) - max(lo, 0)))
-    if hi > T:
-        rows.append(Tensor(np.zeros((hi - T, d_f))))
-    window = tk.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+    d_f = F_masked.data.shape[-1]
+    t = np.asarray(t, dtype=np.int64)
+    pad = Tensor(np.zeros(F_masked.data.shape[:-2] + (k, d_f)))
+    padded = tk.concat([pad, F_masked, pad], axis=-2)
+    window = _take_rows(padded, t[..., None] + np.arange(2 * k + 1))
     pos = encoders.positional_encoding(2 * k + 1, d_f, w.cfg.max_positions + 1)
     R = encoders.encoder_stack(tk.add(window, pos), w, "tv", 1, w.cfg.heads)
-    r_c = tk.narrow(R, k, 1)
-    g_t = tk.narrow(G, t + 1, 1)
-    p_s = tk.reshape(encoders.mlp_s(w, g_t), ())
+    r_c = tk.narrow(R, k, 1, axis=-2)
+    g_t = _take_rows(G, t[..., None] + 1)
+    p_s = encoders.mlp_s(w, g_t)
     f1 = tk.matmul(r_c, w["w1"])
     f2 = tk.matmul(g_t, w["w2"])
     f_hat = tk.add(tk.mul(f1, p_s), tk.mul(f2, tk.sub(1.0, p_s)))
@@ -197,9 +238,10 @@ def recover_frame(w, F_masked, G, t, k):
 
 
 def recovery_loss(f_hat, f_t, d_f):
-    """Mean squared error over the d_f feature components."""
+    """Mean squared error over the d_f feature components of each (1, d_f)
+    prediction; the result has the leading shape."""
     diff = tk.sub(f_hat, f_t)
-    return tk.scale(tk.tsum(tk.mul(diff, diff)), 1.0 / d_f)
+    return tk.scale(tk.tsum(tk.mul(diff, diff), axis=(-2, -1)), 1.0 / d_f)
 
 
 def word_token_rows(token_ids):
@@ -208,59 +250,78 @@ def word_token_rows(token_ids):
     return np.flatnonzero(~np.isin(ids, (PAD_ID, CLS_ID, SEP_ID)))
 
 
-def ssl_forward(w, sample, cfg, rng):
-    """All three objectives for one sample; one video encoding is shared."""
-    F = Tensor(sample.video)
-    F_masked, t, f_t = mask_frame(w, F, rng)
-    G = encoders.encode_video(w, F_masked, prepend_cls=True)
-    T = sample.video.shape[0]
-    g0 = tk.narrow(G, 0, 1)
-    g_rows = tk.narrow(G, 1, T)
+def _length_groups(samples):
+    """Sample indices grouped by (crop length, token length), groups in
+    order of first appearance."""
+    groups = {}
+    for i, s in enumerate(samples):
+        groups.setdefault((s.video.shape[0], len(s.token_ids)), []).append(i)
+    return list(groups.values())
 
-    Z = encoders.encode_text(w, sample.token_ids)
-    z0 = tk.narrow(Z, 0, 1)
-    word_rows = word_token_rows(sample.token_ids)
-    if word_rows.size == 0:
-        raise ContractError("sample text contains no word tokens")
-    z_words = tk.concat([tk.narrow(Z, int(i), 1) for i in word_rows], axis=0)
 
-    l1, p_c = coarse_loss(w, g0, z0, sample.y)
-    d_h = hausdorff_distance(g_rows, encoders.mlp_t(w, z_words))
-    l2 = fine_loss(d_h, sample.y, cfg.margin)
-    f_hat, p_s = recover_frame(w, F_masked, G, t, cfg.window_radius)
-    l3 = recovery_loss(f_hat, f_t, w.cfg.d_f)
-    total = tk.add(l1, tk.add(tk.scale(l2, cfg.alpha), tk.scale(l3, cfg.beta)))
+def ssl_forward(w, samples, cfg, rng):
+    """All three objectives over a batch of samples, as one graph.
+
+    Samples whose crops and token streams have equal lengths are stacked:
+    one video encoding (shared by the three objectives), one text encoding
+    and one recovery-window stack per length group, with no padding.  Mask
+    positions are drawn from rng in sample order.  Returns the batch means
+    "l1", "l2", "l3" and "total" (l1 + alpha*l2 + beta*l3) as tensors, and
+    per sample, in sample order: "losses" (B, 3) of (l1, l2, l3), "p_c",
+    "p_s" and "y".
+    """
+    if not samples:
+        raise ContractError("ssl_forward needs at least one sample")
+    ts = np.array([rng.randint(s.video.shape[0]) for s in samples], dtype=np.int64)
+    order, l1s, l2s, l3s, p_c, p_s = [], [], [], [], [], []
+    for idx in _length_groups(samples):
+        group = [samples[i] for i in idx]
+        word_rows = [word_token_rows(s.token_ids) for s in group]
+        if any(rows.size == 0 for rows in word_rows):
+            raise ContractError("sample text contains no word tokens")
+        y = np.array([s.y for s in group], dtype=np.float64)
+        F_masked, t, f_t = _mask_at(w, Tensor(np.stack([s.video for s in group])), ts[idx])
+        G = encoders.encode_video(w, F_masked, prepend_cls=True)
+        Z = encoders.encode_text(w, np.array([s.token_ids for s in group]))
+        l1, pc = coarse_loss(w, tk.narrow(G, 0, 1, axis=-2), tk.narrow(Z, 0, 1, axis=-2), y)
+        g_rows = tk.narrow(G, 1, F_masked.data.shape[-2], axis=-2)
+        d_h = hausdorff_distance(g_rows, encoders.mlp_t(w, Z), word_rows)
+        f_hat, ps = recover_frame(w, F_masked, G, t, cfg.window_radius)
+        order += idx
+        l1s.append(l1)
+        l2s.append(fine_loss(d_h, y, cfg.margin))
+        l3s.append(recovery_loss(f_hat, f_t, w.cfg.d_f))
+        p_c.append(pc)
+        p_s.append(ps.data.reshape(-1))
+    l1, l2, l3 = (tk.concat(parts, axis=0) for parts in (l1s, l2s, l3s))
+    means = [tk.scale(tk.tsum(x), 1.0 / len(samples)) for x in (l1, l2, l3)]
+    total = tk.add(means[0], tk.add(tk.scale(means[1], cfg.alpha), tk.scale(means[2], cfg.beta)))
+    back = np.argsort(order)
     return {
         "total": total,
-        "l1": l1,
-        "l2": l2,
-        "l3": l3,
-        "p_c": p_c,
-        "p_s": float(p_s.data),
-        "y": sample.y,
+        "l1": means[0],
+        "l2": means[1],
+        "l3": means[2],
+        "losses": np.stack([l1.data, l2.data, l3.data], axis=1)[back],
+        "p_c": np.concatenate(p_c)[back],
+        "p_s": np.concatenate(p_s)[back],
+        "y": np.array([s.y for s in samples]),
     }
 
 
 def ssl_step(batch, w, opt, cfg, rng):
-    """Average the combined loss over a batch and take one Adam step."""
-    outs = [ssl_forward(w, s, cfg, rng) for s in batch]
-    total = tk.scale(
-        tk.tsum(tk.concat([tk.reshape(o["total"], (1,)) for o in outs], axis=0)),
-        1.0 / len(outs),
-    )
-    if not np.isfinite(total.data):
-        dump = [(float(o["l1"].data), float(o["l2"].data), float(o["l3"].data)) for o in outs]
-        raise NumericsError(f"non-finite combined loss; per-sample (l1, l2, l3): {dump}")
+    """The batch-mean combined loss as one graph, and one Adam step."""
+    out = ssl_forward(w, batch, cfg, rng)
     opt.zero_grad()
-    tk.backward(total)
+    tk.backward(out["total"])
     opt.step()
-    correct = sum(1 for o in outs if (o["p_c"] >= 0.5) == (o["y"] == 1))
+    correct = int(np.sum((out["p_c"] >= 0.5) == (out["y"] == 1)))
     return {
-        "total": float(total.data),
-        "l1": float(np.mean([o["l1"].data for o in outs])),
-        "l2": float(np.mean([o["l2"].data for o in outs])),
-        "l3": float(np.mean([o["l3"].data for o in outs])),
-        "pc_acc": correct / len(outs),
+        "total": float(out["total"].data),
+        "l1": float(out["l1"].data),
+        "l2": float(out["l2"].data),
+        "l3": float(out["l3"].data),
+        "pc_acc": correct / len(batch),
     }
 
 
@@ -291,14 +352,18 @@ def pretrain(corpus, w, cfg, rng, out_dir=None, log_path=None):
 
 
 def correspondence_accuracy(corpus, w, cfg, rng, n_pairs=200):
-    """Held-out accuracy of the coarse correspondence head, graph-free."""
+    """Held-out accuracy of the coarse correspondence head, graph-free;
+    pairs are scored in batches of cfg.batch_size."""
     w = w.detached()
+    samples = [sample_pair(corpus, rng, cfg) for _ in range(n_pairs)]
     correct = 0
-    for _ in range(n_pairs):
-        s = sample_pair(corpus, rng, cfg)
-        G = encoders.encode_video(w, Tensor(s.video), prepend_cls=True)
-        Z = encoders.encode_text(w, s.token_ids)
-        _, p_c = coarse_loss(w, tk.narrow(G, 0, 1), tk.narrow(Z, 0, 1), s.y)
-        if (p_c >= 0.5) == (s.y == 1):
-            correct += 1
+    for start in range(0, n_pairs, cfg.batch_size):
+        batch = samples[start : start + cfg.batch_size]
+        for idx in _length_groups(batch):
+            group = [batch[i] for i in idx]
+            G = encoders.encode_video(w, Tensor(np.stack([s.video for s in group])), True)
+            Z = encoders.encode_text(w, np.array([s.token_ids for s in group]))
+            y = np.array([s.y for s in group])
+            _, p_c = coarse_loss(w, tk.narrow(G, 0, 1, axis=-2), tk.narrow(Z, 0, 1, axis=-2), y)
+            correct += int(np.sum((p_c >= 0.5) == (y == 1)))
     return correct / n_pairs

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataprep, encoders, metrics, segmentation, tensorkit as tk
-from .errors import CapacityError, ConfigError, ContractError, DataError
+from .errors import CapacityError, ConfigError, ContractError, DataError, check_field_types
 from .tensorkit import Rng, Tensor
 
 
@@ -29,8 +29,11 @@ class SummarizerConfig:
     budget_fraction: float = segmentation.DEFAULT_BUDGET_FRACTION  # paper: 15%
 
     def __post_init__(self):
+        check_field_types(self)
         if self.stages < 1:
             raise ConfigError("stages must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
         segmentation.check_budget_fraction(self.budget_fraction)
@@ -134,6 +137,11 @@ def fold_of(video_id, seed, folds):
     return tk._fnv1a64(f"{video_id}|{seed}") % folds
 
 
+def _require_annotations(rec):
+    if not rec.annotations:
+        raise DataError(f"{rec.id}: training and evaluation need at least one annotation")
+
+
 def _gt_scores(rec):
     """Training target: mean of the annotator frame scores."""
     return np.mean(np.stack([np.asarray(a) for a in rec.annotations]), axis=0)
@@ -150,6 +158,7 @@ def _crop(feats, gt, max_frames, rng):
 def evaluate_scores(rec, s_star, budget_fraction):
     """Rank metrics vs every annotator plus summary F-score for one video's
     frame scores."""
+    _require_annotations(rec)
     _, summary, references = segmentation.summarize_video(
         rec.features, s_star, budget_fraction, rec.annotations
     )
@@ -232,12 +241,19 @@ def train(records, cfg, enc_cfg, seed, pretrained_path=None):
     """
     for rec in records:
         rec.validate()
+        _require_annotations(rec)
     vocab = dataprep.corpus_vocab(records, min_size=enc_cfg.vocab_size)
     if len(vocab) > enc_cfg.vocab_size:
         raise ConfigError(
             f"corpus vocabulary ({len(vocab)}) exceeds vocab_size ({enc_cfg.vocab_size})"
         )
     assignment = {rec.id: fold_of(rec.id, seed, cfg.folds) for rec in records}
+    # tensors the checkpoint provides are not drawn, only loaded
+    loaded = ()
+    if pretrained_path:
+        loaded = set(encoders.pretrained_names(
+            tk.load_checkpoint(pretrained_path), enc_cfg, cfg.stages
+        ))
     fold_reports = []
     fold_weights = []
     for fold in range(cfg.folds):
@@ -246,7 +262,9 @@ def train(records, cfg, enc_cfg, seed, pretrained_path=None):
         if not train_recs or not eval_recs:
             raise DataError(f"fold {fold} has an empty train or eval split")
         rng = Rng(seed).substream(f"train/fold{fold}")
-        w = encoders.ModelWeights.initialize(enc_cfg, cfg.stages, rng.substream("init"))
+        w = encoders.ModelWeights.initialize(
+            enc_cfg, cfg.stages, rng.substream("init"), skip=loaded
+        )
         if pretrained_path:
             w.load_pretrained(pretrained_path)
         train_on(w, train_recs, cfg, rng.substream("loop"), vocab)

@@ -62,7 +62,9 @@ class Tensor:
 
 
 def _check_finite(arr):
-    if not np.all(np.isfinite(arr)):
+    # a finite sum proves every element finite (NaN and Inf propagate); a
+    # non-finite sum may be overflow, so only then look element by element
+    if not np.isfinite(arr.sum()) and not np.all(np.isfinite(arr)):
         raise NumericsError("operation produced non-finite values")
 
 
@@ -79,9 +81,10 @@ def _result(data, parents, backward):
 def _accum(t, g):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    # never in place: g may be another node's gradient or a read-only view,
+    # so a gradient array is shared freely and replaced, not modified
+    g = np.broadcast_to(g, t.data.shape)
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(grad, shape):
@@ -293,9 +296,9 @@ def _erf(x):
 def gelu(a):
     a = as_tensor(a)
     cdf = 0.5 * (1.0 + _erf(a.data / _SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
 
     def bwd(g):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
         _accum(a, g * (cdf + a.data * pdf))
 
     return _result(a.data * cdf, (a,), bwd)
@@ -317,17 +320,24 @@ def clip(a, lo, hi):
 
 
 def matmul(a, b):
+    """(..., n, k) @ (k, m); leading axes of `a` are batch axes, and the
+    gradient of `b` sums over them."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise DimensionError(
             f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
+    k, m = b.data.shape
+    a2 = a.data.reshape(-1, k)
 
     def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        g2 = g.reshape(-1, m)
+        if a.requires_grad:
+            _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+        if b.requires_grad:
+            _accum(b, a2.T @ g2)
 
-    return _result(a.data @ b.data, (a, b), bwd)
+    return _result((a2 @ b.data).reshape(a.data.shape[:-1] + (m,)), (a, b), bwd)
 
 
 def transpose(a):
@@ -399,11 +409,10 @@ def concat(tensors, axis=0):
 
 
 def gather_rows(table, ids):
-    """Row lookup (embedding); gradient scatters back into the table."""
+    """Row lookup (embedding): table[ids] for an id array of any shape;
+    the gradient scatters back into the table."""
     table = as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise DimensionError("gather_rows expects a 1-D id list")
     if np.any(ids < 0) or np.any(ids >= table.data.shape[0]):
         raise DimensionError(
             f"gather_rows: id out of range [0, {table.data.shape[0]})"
@@ -422,13 +431,14 @@ def gather_rows(table, ids):
 # Reductions and row-wise normalizations
 
 
-def tsum(a):
+def tsum(a, axis=None):
+    """Sum of all elements, or over `axis` (an int or a tuple of ints)."""
     a = as_tensor(a)
 
     def bwd(g):
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
+        _accum(a, g if axis is None else np.expand_dims(g, axis))
 
-    return _result(a.data.sum(), (a,), bwd)
+    return _result(a.data.sum(axis=axis), (a,), bwd)
 
 
 def tmean(a):
@@ -438,92 +448,177 @@ def tmean(a):
         raise ContractError("mean of an empty tensor")
 
     def bwd(g):
-        _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
+        _accum(a, g / n)
 
     return _result(a.data.mean(), (a,), bwd)
 
 
+def _check_rows(a, op):
+    if a.data.ndim < 2:
+        raise DimensionError(f"{op} expects a matrix or a stack of them, got {a.data.shape}")
+
+
 def row_norms(a):
-    """L2 norm of each row of a matrix, returned as shape (T,)."""
+    """L2 norm over the last axis: (..., T, d) -> (..., T)."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"row_norms expects a matrix, got {a.data.shape}")
-    norms = np.sqrt((a.data**2).sum(axis=1))
+    _check_rows(a, "row_norms")
+    norms = np.sqrt((a.data**2).sum(axis=-1))
 
     def bwd(g):
         safe = np.maximum(norms, 1e-12)
-        _accum(a, (g / safe)[:, None] * a.data)
+        _accum(a, (g / safe)[..., None] * a.data)
 
     return _result(norms, (a,), bwd)
 
 
 def l2_normalize_rows(a):
-    """Scale each row to unit norm; all-zero rows pass through with a warning."""
+    """Scale each row (last axis) to unit norm; all-zero rows pass through
+    with a warning."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"l2_normalize_rows expects a matrix, got {a.data.shape}")
-    norms = np.sqrt((a.data**2).sum(axis=1))
+    _check_rows(a, "l2_normalize_rows")
+    norms = np.sqrt((a.data**2).sum(axis=-1, keepdims=True))
     zero = norms == 0.0
     if np.any(zero):
         warnings.warn("l2_normalize_rows: all-zero row left unchanged", stacklevel=2)
     safe = np.where(zero, 1.0, norms)
-    out_data = a.data / safe[:, None]
+    out_data = a.data / safe
 
     def bwd(g):
         # d/dx (x/|x|) = (I - u u^T)/|x| with u = x/|x|; zero rows are identity
-        dot = (g * out_data).sum(axis=1)
-        ga = (g - out_data * dot[:, None]) / safe[:, None]
-        ga[zero] = g[zero]
-        _accum(a, ga)
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        _accum(a, np.where(zero, g, (g - out_data * dot) / safe))
 
     return _result(out_data, (a,), bwd)
+
+
+def _softmax_(s):
+    """Softmax over the last axis of `s`, computed in place."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def softmax_rows(a):
+    """Softmax over the last axis."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"softmax_rows expects a matrix, got {a.data.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
+    _check_rows(a, "softmax_rows")
+    out_data = _softmax_(a.data.copy())
 
     def bwd(g):
-        dot = (g * out_data).sum(axis=1, keepdims=True)
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
         _accum(a, out_data * (g - dot))
 
     return _result(out_data, (a,), bwd)
+
+
+def _split_heads(x, heads):
+    """(..., T, d) -> a (heads, ..., T, d/heads) view of the column blocks."""
+    *lead, T, d = x.shape
+    return np.moveaxis(x.reshape(*lead, T, heads, d // heads), -2, 0)
+
+
+def attention(q, k, v, heads, key_bias=None):
+    """Multi-head scaled dot-product attention over (..., T, d) inputs.
+
+    Head h uses column block h of q, k and v:
+    softmax(q_h k_h^T / sqrt(d/heads) + key_bias) v_h, written back into
+    column block h of the output.  `key_bias` is a constant broadcastable
+    to (..., T_k), added to the scores of every query row (-1e30 masks a
+    key).  The attention probabilities are kept for the backward pass only
+    when an input requires grad; otherwise one (..., T, T_k) score buffer
+    serves every head.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    shape = q.data.shape
+    if (
+        q.data.ndim < 2
+        or k.data.shape != v.data.shape
+        or k.data.shape[:-2] != shape[:-2]
+        or k.data.shape[-1] != shape[-1]
+        or heads < 1
+        or shape[-1] % heads
+    ):
+        raise DimensionError(
+            f"attention: shapes {shape}, {k.data.shape}, {v.data.shape}"
+            f" with {heads} heads"
+        )
+    lead, t_q, t_k = shape[:-2], shape[-2], k.data.shape[-2]
+    bias = None
+    if key_bias is not None:
+        bias = np.asarray(key_bias, dtype=np.float64)
+        try:
+            fits = np.broadcast_shapes(bias.shape, lead + (t_k,)) == lead + (t_k,)
+        except ValueError:
+            fits = False
+        if not fits:
+            raise DimensionError(
+                f"attention: key_bias {bias.shape} does not broadcast to {lead + (t_k,)}"
+            )
+        bias = bias[..., None, :]
+    c = 1.0 / math.sqrt(shape[-1] // heads)
+    qh, kh, vh = (_split_heads(x.data, heads) for x in (q, k, v))
+    keep = q.requires_grad or k.requires_grad or v.requires_grad
+    p = np.empty(((heads,) if keep else ()) + lead + (t_q, t_k))
+    out_data = np.empty(shape)
+    oh = _split_heads(out_data, heads)
+    for h in range(heads):
+        s = p[h] if keep else p
+        np.matmul(qh[h], np.swapaxes(kh[h], -1, -2), out=s)
+        s *= c
+        if bias is not None:
+            s += bias
+        np.matmul(_softmax_(s), vh[h], out=oh[h])
+
+    def bwd(g):
+        gh = _split_heads(g, heads)
+        grads = [np.empty(x.data.shape) for x in (q, k, v)]
+        gq, gk, gv = (_split_heads(x, heads) for x in grads)
+        for h in range(heads):
+            np.matmul(np.swapaxes(p[h], -1, -2), gh[h], out=gv[h])
+            ds = gh[h] @ np.swapaxes(vh[h], -1, -2)
+            ds -= (ds * p[h]).sum(axis=-1, keepdims=True)
+            ds *= p[h]
+            ds *= c
+            np.matmul(ds, kh[h], out=gq[h])
+            np.matmul(np.swapaxes(ds, -1, -2), qh[h], out=gk[h])
+        for x, gx in zip((q, k, v), grads):
+            _accum(x, gx)
+
+    return _result(out_data, (q, k, v), bwd)
 
 
 LAYER_NORM_EPS = 1e-5
 
 
 def layer_norm_rows(a, gain, bias):
-    """Per-row standardization with learnable gain and bias (eps on variance)."""
+    """Standardization over the last axis with learnable gain and bias (eps
+    on variance); the gain and bias gradients sum over all leading axes."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    if a.data.ndim != 2:
-        raise DimensionError(f"layer_norm_rows expects a matrix, got {a.data.shape}")
-    d = a.data.shape[1]
+    _check_rows(a, "layer_norm_rows")
+    d = a.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise DimensionError(
             f"layer_norm_rows: gain/bias must have shape ({d},),"
             f" got {gain.data.shape} and {bias.data.shape}"
         )
-    mu = a.data.mean(axis=1, keepdims=True)
+    mu = a.data.mean(axis=-1, keepdims=True)
     xc = a.data - mu
-    var = (xc**2).mean(axis=1, keepdims=True)
+    var = (xc**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
+    lead = tuple(range(a.data.ndim - 1))
 
     def bwd(g):
-        _accum(gain, (g * xhat).sum(axis=0))
-        _accum(bias, g.sum(axis=0))
+        _accum(gain, (g * xhat).sum(axis=lead))
+        _accum(bias, g.sum(axis=lead))
         if a.requires_grad:
             gx = g * gain.data
             ga = inv * (
                 gx
-                - gx.mean(axis=1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=1, keepdims=True)
+                - gx.mean(axis=-1, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
             )
             _accum(a, ga)
 

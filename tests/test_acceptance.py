@@ -161,6 +161,31 @@ def _op_cases(rng):
     return cases
 
 
+def _attention_cases(rng):
+    """tk.attention without and with a constant key bias, and with a batch
+    axis; a fixed weight matrix breaks the output symmetries."""
+
+    def t(shape):
+        return Tensor(rng.uniforms(shape, -1.0, 1.0), requires_grad=True)
+
+    cases = []
+    for name, shape, bias in (
+        ("attention", (4, 6), None),
+        ("attention.key_bias", (4, 6), np.array([0.0, 0.0, -1e30, 0.0])),
+        ("attention.batched", (2, 4, 6), np.array([[0.0, 0.0, 0.0, -1e30], [0.0, -1e30, 0.0, 0.0]])),
+    ):
+        q, k, v = t(shape), t(shape), t(shape)
+        W = np.linspace(0.3, 1.7, int(np.prod(shape))).reshape(shape)
+        cases.append((
+            name,
+            lambda q=q, k=k, v=v, W=W, bias=bias: tk.tsum(
+                tk.mul(tk.attention(q, k, v, 2, key_bias=bias), Tensor(W))
+            ),
+            [q, k, v],
+        ))
+    return cases
+
+
 def test_criterion_1_gradient_suite(capsys):
     t0 = time.monotonic()
     rng = Rng(424242)
@@ -181,7 +206,7 @@ def test_criterion_1_gradient_suite(capsys):
     for key in ("l1", "l2", "l3", "total"):
         failures += _grad_failures(
             f"ssl.{key}",
-            lambda key=key: pretrain.ssl_forward(w, sample, ssl_cfg, Rng(9))[key],
+            lambda key=key: pretrain.ssl_forward(w, [sample], ssl_cfg, Rng(9))[key],
             params,
             rng,
         )
@@ -192,6 +217,9 @@ def test_criterion_1_gradient_suite(capsys):
         return progressive.vs_loss(s_star, gt)
 
     failures += _grad_failures("summary_mse", summary_loss, params, rng)
+    attention_rng = Rng(515151)
+    for name, build_loss, attention_params in _attention_cases(attention_rng):
+        failures += _grad_failures(name, build_loss, attention_params, attention_rng)
     elapsed = time.monotonic() - t0
     if elapsed > 60.0:
         failures.append(f"gradient suite took {elapsed:.1f}s > 60s")
@@ -418,7 +446,7 @@ def test_criterion_4_pretraining_sanity(capsys):
     mask_rng = Rng(99)
     for vid, feats, tokens in eval_c:
         s = pretrain.PairSample(video=feats, token_ids=tokens, y=1, video_id=vid, text_id=vid)
-        out = pretrain.ssl_forward(w, s, cfg, mask_rng)
+        out = pretrain.ssl_forward(w, [s], cfg, mask_rng)
         l3_vals.append(float(out["l3"].data))
         mean = feats.mean(axis=0)
         base_vals.append(float(2.0 / feats.shape[1] * ((feats - mean) ** 2).sum(axis=1).mean()))

@@ -506,6 +506,74 @@ def test_bad_input_file_exit_code(tmp_path, corpus_path, capsys, case, code):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("summarizer", "stages", "3"),
+    ("summarizer", "use_text", 1),
+    ("summarizer", "budget_fraction", None),
+    ("summarizer", "batch_size", 0),
+    ("encoder", "heads", 2.0),
+    ("encoder", "d_w", True),
+    ("ssl", "lr", "fast"),
+    ("ssl", "window_radius", [4]),
+    ("ssl", "batch_size", 0),
+])
+def test_config_value_of_wrong_type_or_range_exit_2(tmp_path, corpus_path, capsys,
+                                                    section, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    cmd = "train" if section == "summarizer" else "pretrain"
+    rc = main([cmd, "--data", corpus_path, "--config", str(cfg), "--steps" if cmd == "pretrain"
+               else "--epochs", "1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
+def test_config_int_for_float_field_is_accepted(tmp_path, corpus_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ssl": {"lr": 0, "margin": 1, "steps": 1, "batch_size": 2}}))
+    assert main(["pretrain", "--data", corpus_path, "--config", str(cfg),
+                 "--out", str(tmp_path / "ssl")]) == 0
+
+
+class TestRecordWithoutAnnotations:
+    """train and evaluate reject a record with no annotation, naming it;
+    segment and summarize accept it."""
+
+    @staticmethod
+    def _strip(corpus_path):
+        ids = []
+        _edit_record(corpus_path, lambda obj: (ids.append(obj["id"]),
+                                               obj.__setitem__("annotations", [])))
+        return ids[0]
+
+    def test_train_exit_1(self, tmp_path, corpus_path, capsys):
+        vid = self._strip(corpus_path)
+        rc = main(["train", "--data", corpus_path, "--stages", "1", "--epochs", "1",
+                   "--folds", "2", "--out", str(tmp_path / "m")])
+        assert rc == 1 and vid in capsys.readouterr().err
+
+    def test_evaluate_scores_exit_1(self, tmp_path, corpus_path, capsys):
+        scores = _write_score_dump(corpus_path, str(tmp_path / "s.json"))
+        vid = self._strip(corpus_path)
+        out = str(tmp_path / "e.json")
+        assert main(["evaluate", "--data", corpus_path, "--scores", scores, "--out", out]) == 1
+        assert vid in capsys.readouterr().err and not os.path.exists(out)
+
+    def test_evaluate_model_dir_exit_1(self, tmp_path, corpus_path, model_dir, capsys):
+        vid = self._strip(corpus_path)
+        out = str(tmp_path / "e.json")
+        assert main(["evaluate", "--data", corpus_path, "--model-dir", model_dir,
+                     "--out", out]) == 1
+        assert vid in capsys.readouterr().err and not os.path.exists(out)
+
+    def test_segment_and_summarize_accept_it(self, tmp_path, corpus_path):
+        scores = _write_score_dump(corpus_path, str(tmp_path / "s.json"))
+        self._strip(corpus_path)
+        for cmd in (["segment"], ["segment", "--scores", scores], ["summarize", "--scores", scores]):
+            assert main(cmd + ["--data", corpus_path, "--out", str(tmp_path / "o.json")]) == 0
+
+
 def test_nonfinite_scores_error_names_video(tmp_path, corpus_path, capsys):
     scores = _write_score_dump(corpus_path, str(tmp_path / "s.json"), float("nan"))
     assert main(["summarize", "--data", corpus_path, "--scores", scores,
@@ -523,6 +591,16 @@ if HAVE_HYPOTHESIS:
         assert main(args + ["--out", str(orig / "data.jsonl")]) == 0
         assert main(args + ["--blob", "--out", str(orig / "blob.jsonl")]) == 0
         _write_score_dump(str(orig / "data.jsonl"), str(orig / "scores.json"))
+        # single-digit values: a bit flip changes a digit, never the length,
+        # so no flipped config can ask for a long run
+        (orig / "run.json").write_text(json.dumps({
+            "seed": 3,
+            "encoder": {"d_w": 4, "video_layers": 1, "text_layers": 1, "heads": 2},
+            "ssl": {"steps": 1, "batch_size": 2, "crop_len": 9, "window_radius": 4,
+                    "lr": 0.001},
+            "summarizer": {"stages": 1, "epochs": 1, "batch_size": 2, "folds": 2,
+                           "lr": 0.001, "use_text": False},
+        }))
         w = encoders.ModelWeights.initialize(
             encoders.EncoderConfig(d_f=4, d_w=4, video_layers=0, text_layers=0,
                                    heads=1, vocab_size=8), 1, tk.Rng(3))
@@ -540,6 +618,8 @@ if HAVE_HYPOTHESIS:
         "blob_vid0001.bin": [["segment", "--data", "blob.jsonl"]],
         "scores.json": [["summarize", "--data", "data.jsonl", "--scores", "scores.json"],
                         ["segment", "--data", "data.jsonl", "--scores", "scores.json"]],
+        "run.json": [["pretrain", "--config", "run.json", "--data", "data.jsonl"],
+                     ["train", "--config", "run.json", "--data", "data.jsonl"]],
     }
 
     @settings(max_examples=300, deadline=None)
@@ -560,7 +640,9 @@ if HAVE_HYPOTHESIS:
         try:
             for cmd in _FUZZ_COMMANDS[name]:
                 argv = [str(work / a) if (orig / a).is_file() else a for a in cmd]
-                if cmd[0] != "inspect":
+                if cmd[0] in ("pretrain", "train"):
+                    argv += ["--out", str(work / "run_out")]
+                elif cmd[0] != "inspect":
                     argv += ["--out", str(work / "out.json")]
                 assert main(argv) in (0, 1, 2)
         finally:

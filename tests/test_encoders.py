@@ -102,6 +102,36 @@ class TestEncodeVideo:
         np.testing.assert_array_equal(a, b)
 
 
+class TestBatchedEncoders:
+    """A leading batch axis runs the same stack on every sequence."""
+
+    def test_encode_video_batch_equals_per_sequence(self, tiny_weights, rng):
+        F = rng.normals((3, 5, 8))
+        for cls in (True, False):
+            out = encoders.encode_video(tiny_weights, Tensor(F), cls)
+            assert out.shape == (3, 5 + cls, 8)
+            for i in range(3):
+                one = encoders.encode_video(tiny_weights, Tensor(F[i]), cls)
+                np.testing.assert_allclose(out.data[i], one.data, atol=1e-12)
+
+    def test_encode_text_batch_masks_pads_per_row(self, tiny_weights):
+        rows = [[CLS_ID, 5, 6, SEP_ID, 7, PAD_ID], [CLS_ID, 9, SEP_ID, PAD_ID, PAD_ID, PAD_ID]]
+        out = encoders.encode_text(tiny_weights, np.array(rows))
+        assert out.shape == (2, 6, 4)
+        for i, ids in enumerate(rows):
+            one = encoders.encode_text(tiny_weights, ids)
+            np.testing.assert_allclose(out.data[i], one.data, atol=1e-12)
+
+    def test_key_mask_must_match_leading_shape(self, tiny_weights, rng):
+        x = Tensor(rng.normals((2, 5, 4)))
+        with pytest.raises(DimensionError):
+            encoders.encoder_stack(x, tiny_weights, "et", 1, 2, key_mask=np.ones(5, bool))
+
+    def test_batched_text_needs_cls_in_every_row(self, tiny_weights):
+        with pytest.raises(ContractError):
+            encoders.encode_text(tiny_weights, np.array([[CLS_ID, 5], [5, 6]]))
+
+
 class TestEncodeText:
     def test_shape(self, tiny_weights):
         out = encoders.encode_text(tiny_weights, [CLS_ID, 5, 6, SEP_ID, 7])

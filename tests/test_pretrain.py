@@ -255,7 +255,7 @@ class TestSslStep:
     def test_total_is_weighted_sum(self, tiny_cfg, rng):
         cfg, w, corpus = self._setup(tiny_cfg, rng, alpha=0.7, beta=2.5)
         s = pretrain.sample_pair(corpus, rng, cfg)
-        out = pretrain.ssl_forward(w, s, cfg, rng)
+        out = pretrain.ssl_forward(w, [s], cfg, rng)
         expect = (
             float(out["l1"].data)
             + cfg.alpha * float(out["l2"].data)
@@ -266,14 +266,14 @@ class TestSslStep:
     def test_alpha_beta_zero_reduces_to_coarse(self, tiny_cfg, rng):
         cfg, w, corpus = self._setup(tiny_cfg, rng, alpha=0.0, beta=0.0)
         s = pretrain.sample_pair(corpus, rng, cfg)
-        out = pretrain.ssl_forward(w, s, cfg, rng)
+        out = pretrain.ssl_forward(w, [s], cfg, rng)
         assert float(out["total"].data) == pytest.approx(float(out["l1"].data), abs=1e-15)
 
     def test_beta_zero_gives_no_smoothness_gate_gradient(self, tiny_cfg, rng):
         # the gate p_s feeds the loss only through the recovery term
         cfg, w, corpus = self._setup(tiny_cfg, rng, beta=0.0)
         s = pretrain.sample_pair(corpus, rng, cfg)
-        out = pretrain.ssl_forward(w, s, cfg, rng)
+        out = pretrain.ssl_forward(w, [s], cfg, rng)
         tk.backward(out["total"])
         for name in w.names():
             if name.startswith("mlp_s"):
@@ -300,7 +300,7 @@ class TestSslStep:
 
         def loss():
             mask_rng = tk.Rng(77)
-            return pretrain.ssl_forward(w, s, cfg, mask_rng)["total"]
+            return pretrain.ssl_forward(w, [s], cfg, mask_rng)["total"]
 
         check_gradients(loss, probe, rng, n_points=20, rtol=2e-4)
 
@@ -324,3 +324,117 @@ class TestSslStep:
         a, b = run(), run()
         for n in a:
             np.testing.assert_array_equal(a[n], b[n])
+
+
+class _Replay:
+    """Stands in for the masking Rng: randint returns recorded draws."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def randint(self, n):
+        t = self.draws.pop(0)
+        assert 0 <= t < n
+        return t
+
+
+class TestBatchedSslForward:
+    """One ssl_forward over a mixed batch (both labels, different mask
+    positions, two crop lengths, two token lengths) against one-sample
+    calls on the same mask draws."""
+
+    PROBE = ("ev.layer0.attn.wq", "mask_token", "cls_feature", "w1", "w2", "mlp_s.w0",
+             "mlp_t.w0", "mlp_cls.w0", "embed.word", "et.layer0.ffn.w1", "tv.layer0.attn.wv")
+
+    def _setup(self, tiny_cfg):
+        rng = tk.Rng(404)
+        cfg = pretrain.SSLConfig(crop_len=10, window_radius=2, alpha=2.0, beta=1.0)
+        w = encoders.ModelWeights.initialize(tiny_cfg, 1, tk.Rng(31))
+        short = [encoders.CLS_ID, 5, 6, encoders.SEP_ID, 7, 0, 0]
+        long = [encoders.CLS_ID, 9, encoders.SEP_ID, 4, 8, 10, encoders.SEP_ID, 0, 0]
+        layout = [(10, short, 1), (7, short, 0), (10, long, 0), (7, short, 1),
+                  (10, short, 0), (10, long, 1)]
+        samples = [
+            pretrain.PairSample(video=rng.normals((T, tiny_cfg.d_f)), token_ids=tokens, y=y)
+            for T, tokens, y in layout
+        ]
+        draw = tk.Rng(77)
+        ts = [draw.randint(s.video.shape[0]) for s in samples]
+        assert len(set(ts)) > 2
+        return cfg, w, samples, ts
+
+    @staticmethod
+    def _grads(w, out):
+        w_params = w.trainable()
+        tk.zero_grads(w_params.values())
+        tk.backward(out["total"])
+        return {n: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
+                for n, p in w_params.items()}
+
+    def test_matches_one_sample_calls(self, tiny_cfg):
+        cfg, w, samples, ts = self._setup(tiny_cfg)
+        batch = pretrain.ssl_forward(w, samples, cfg, tk.Rng(77))
+        batch_grads = self._grads(w, batch)
+        singles = [pretrain.ssl_forward(w, [s], cfg, _Replay([t])) for s, t in zip(samples, ts)]
+        single_grads = [self._grads(w, out) for out in singles]
+
+        each = np.array([[float(o[k].data) for k in ("l1", "l2", "l3")] for o in singles])
+        np.testing.assert_allclose(batch["losses"], each, rtol=1e-10, atol=0)
+        for key, col in (("l1", 0), ("l2", 1), ("l3", 2)):
+            assert float(batch[key].data) == pytest.approx(each[:, col].mean(), rel=1e-10)
+        mean_total = np.mean([float(o["total"].data) for o in singles])
+        assert float(batch["total"].data) == pytest.approx(mean_total, rel=1e-10)
+        np.testing.assert_allclose(batch["p_c"], [o["p_c"][0] for o in singles], rtol=1e-10)
+        np.testing.assert_allclose(batch["p_s"], [o["p_s"][0] for o in singles], rtol=1e-10)
+        np.testing.assert_array_equal(batch["y"], [s.y for s in samples])
+        for name, g in batch_grads.items():
+            expect = np.mean([sg[name] for sg in single_grads], axis=0)
+            # relative to the tensor's largest element; the 1e-15 floor covers
+            # gradients that are zero in exact arithmetic (the key bias: softmax
+            # ignores a shift shared by every score of a row)
+            err = np.abs(g - expect).max()
+            assert err <= 1e-10 * np.abs(expect).max() + 1e-15, (name, err)
+
+    def test_mixed_batch_gradients_match_finite_differences(self, tiny_cfg, rng):
+        cfg, w, samples, ts = self._setup(tiny_cfg)
+        probe = [w[name] for name in self.PROBE]
+        check_gradients(
+            lambda: pretrain.ssl_forward(w, samples, cfg, _Replay(ts))["total"],
+            probe, rng, n_points=30, rtol=2e-4,
+        )
+
+    def test_mask_draws_in_sample_order(self, tiny_cfg):
+        cfg, w, samples, ts = self._setup(tiny_cfg)
+        rng = tk.Rng(77)
+        pretrain.ssl_forward(w, samples, cfg, rng)
+        follow = tk.Rng(77)
+        for s in samples:
+            follow.randint(s.video.shape[0])
+        assert rng.next_u64() == follow.next_u64()
+
+    def test_rank_generic_helpers_match_single_calls(self, tiny_weights, rng):
+        F = rng.normals((3, 9, 8))
+        masked, t, target = pretrain.mask_frame(tiny_weights, Tensor(F), tk.Rng(3))
+        replay = tk.Rng(3)
+        for i in range(3):
+            one, ti, tgt = pretrain.mask_frame(tiny_weights, Tensor(F[i]), replay)
+            assert int(ti) == int(t[i])
+            np.testing.assert_array_equal(one.data, masked.data[i])
+            np.testing.assert_array_equal(tgt.data, target.data[i])
+        G = encoders.encode_video(tiny_weights, masked, prepend_cls=True)
+        f_hat, p_s = pretrain.recover_frame(tiny_weights, masked, G, t, 2)
+        assert f_hat.shape == (3, 1, 8) and p_s.shape == (3, 1, 1)
+        for i in range(3):
+            G1 = encoders.encode_video(tiny_weights, Tensor(masked.data[i]), prepend_cls=True)
+            f1, p1 = pretrain.recover_frame(tiny_weights, Tensor(masked.data[i]), G1, t[i], 2)
+            np.testing.assert_allclose(f_hat.data[i], f1.data, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(p_s.data[i], p1.data, rtol=1e-10)
+
+    def test_batched_hausdorff_uses_each_member_list(self, rng):
+        A = rng.normals((2, 5, 4))
+        B = rng.normals((2, 6, 4))
+        rows = [np.array([0, 2, 3]), np.array([1, 5])]
+        got = pretrain.hausdorff_distance(Tensor(A), Tensor(B), rows).data
+        for i in range(2):
+            one = pretrain.hausdorff_distance(Tensor(A[i]), Tensor(B[i][rows[i]])).item()
+            assert got[i] == pytest.approx(one, abs=1e-12)

@@ -160,6 +160,129 @@ class TestBackward:
         check_gradients(loss, [a, b], rng, n_points=20)
 
 
+class TestBatchAxes:
+    """Row-wise ops take leading batch axes; parameter gradients sum over them."""
+
+    def test_matmul_batch_equals_per_matrix(self, rng):
+        a = _rand(rng, (2, 3, 4))
+        b = _rand(rng, (4, 5))
+        out = tk.matmul(a, b)
+        assert out.shape == (2, 3, 5)
+        for i in range(2):
+            np.testing.assert_allclose(out.data[i], a.data[i] @ b.data, atol=1e-12)
+        with pytest.raises(DimensionError):
+            tk.matmul(a, _rand(rng, (2, 4, 5)))
+
+    def test_matmul_batch_gradients(self, rng):
+        a = _rand(rng, (2, 3, 4))
+        b = _rand(rng, (4, 2))
+        W = np.linspace(0.3, 1.7, 12).reshape(2, 3, 2)
+        check_gradients(lambda: tk.tsum(tk.mul(tk.matmul(a, b), Tensor(W))), [a, b], rng,
+                        n_points=15)
+
+    def test_layer_norm_batch_equals_per_matrix(self, rng):
+        x = _rand(rng, (2, 3, 6))
+        g = Tensor(rng.uniforms((6,), 0.5, 1.5))
+        b = _rand(rng, (6,), grad=False)
+        out = tk.layer_norm_rows(x, g, b).data
+        for i in range(2):
+            np.testing.assert_array_equal(out[i], tk.layer_norm_rows(Tensor(x.data[i]), g, b).data)
+
+    def test_layer_norm_batch_gradients(self, rng):
+        x = _rand(rng, (2, 3, 6))
+        g = Tensor(rng.uniforms((6,), 0.5, 1.5), requires_grad=True)
+        b = _rand(rng, (6,))
+        W = np.linspace(0.3, 1.7, 36).reshape(2, 3, 6)
+        check_gradients(
+            lambda: tk.tsum(tk.mul(tk.layer_norm_rows(x, g, b), Tensor(W))), [x, g, b], rng,
+            n_points=15,
+        )
+
+    def test_gather_rows_any_id_shape(self, rng):
+        table = _rand(rng, (5, 3))
+        ids = np.array([[0, 4], [4, 2]])
+        out = tk.gather_rows(table, ids)
+        np.testing.assert_array_equal(out.data, table.data[ids])
+        W = np.linspace(0.3, 1.7, 12).reshape(2, 2, 3)
+        check_gradients(lambda: tk.tsum(tk.mul(tk.gather_rows(table, ids), Tensor(W))),
+                        [table], rng, n_points=10)
+
+    def test_tsum_over_axes(self, rng):
+        x = _rand(rng, (2, 3, 4))
+        np.testing.assert_allclose(tk.tsum(x, axis=(-2, -1)).data, x.data.sum(axis=(1, 2)))
+        W = np.array([0.5, 1.5])
+        check_gradients(lambda: tk.tsum(tk.mul(tk.tsum(tk.mul(x, x), axis=(-2, -1)), Tensor(W))),
+                        [x], rng, n_points=10)
+
+
+def _attention_reference(q, k, v, heads, key_bias=None):
+    """Per-head attention on (T, d) arrays, written out head by head."""
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        s = q[:, cols] @ k[:, cols].T / math.sqrt(dh)
+        if key_bias is not None:
+            s = s + key_bias[None, :]
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        outs.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
+    return np.concatenate(outs, axis=1)
+
+
+class TestAttention:
+    def test_matches_per_head_reference(self, rng):
+        q, k, v = (_rand(rng, (6, 8)) for _ in range(3))
+        out = tk.attention(q, k, v, 4)
+        np.testing.assert_allclose(
+            out.data, _attention_reference(q.data, k.data, v.data, 4), atol=1e-12
+        )
+
+    def test_key_bias_masks_keys(self, rng):
+        q, k, v = (_rand(rng, (5, 4)) for _ in range(3))
+        bias = np.array([0.0, 0.0, 0.0, -1e30, -1e30])
+        out = tk.attention(q, k, v, 2, key_bias=bias)
+        kept = tk.attention(q, Tensor(k.data[:3]), Tensor(v.data[:3]), 2)
+        np.testing.assert_allclose(out.data, kept.data, atol=1e-12)
+
+    def test_batch_equals_per_sequence(self, rng):
+        q, k, v = (_rand(rng, (3, 5, 8)) for _ in range(3))
+        bias = np.where(np.arange(5)[None, :] < np.array([5, 3, 4])[:, None], 0.0, -1e30)
+        out = tk.attention(q, k, v, 2, key_bias=bias)
+        for i in range(3):
+            one = tk.attention(Tensor(q.data[i]), Tensor(k.data[i]), Tensor(v.data[i]), 2,
+                               key_bias=bias[i])
+            np.testing.assert_allclose(out.data[i], one.data, atol=1e-12)
+
+    def test_graph_free_result_is_bitwise_the_trainable_one(self, rng):
+        q, k, v = (_rand(rng, (2, 7, 8)) for _ in range(3))
+        with_grad = tk.attention(q, k, v, 4)
+        free = tk.attention(*(Tensor(x.data) for x in (q, k, v)), 4)
+        assert with_grad.requires_grad and not free.requires_grad and free._backward is None
+        assert free.data.tobytes() == with_grad.data.tobytes()
+
+    @pytest.mark.parametrize("shape,bias", [
+        ((4, 6), None),
+        ((4, 6), np.array([0.0, -1e30, 0.0, 0.0])),
+        ((2, 4, 6), np.array([[0.0, 0.0, 0.0, -1e30], [0.0, -1e30, 0.0, 0.0]])),
+    ])
+    def test_gradients_match_finite_differences(self, rng, shape, bias):
+        q, k, v = (_rand(rng, shape) for _ in range(3))
+        W = np.linspace(0.3, 1.7, int(np.prod(shape))).reshape(shape)
+        check_gradients(
+            lambda: tk.tsum(tk.mul(tk.attention(q, k, v, 2, key_bias=bias), Tensor(W))),
+            [q, k, v], rng, n_points=20,
+        )
+
+    def test_shape_errors(self, rng):
+        x = _rand(rng, (4, 6))
+        with pytest.raises(DimensionError):
+            tk.attention(x, x, x, 4)  # 6 columns do not split into 4 heads
+        with pytest.raises(DimensionError):
+            tk.attention(x, _rand(rng, (4, 4)), _rand(rng, (4, 4)), 2)
+        with pytest.raises(DimensionError):
+            tk.attention(x, x, x, 2, key_bias=np.zeros(3))
+
+
 rng_weights = np.linspace(0.3, 1.7, 18).reshape(3, 6)
 
 
