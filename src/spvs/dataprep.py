@@ -418,6 +418,11 @@ def gen_synthetic(
     `desc_words`) dilute that route and stretch the matching plateau; the
     defaults keep the text lean so short pretraining runs converge.
     """
+    if n_videos < 1:
+        raise ConfigError(f"n_videos must be at least 1, got {n_videos}")
+    if n_frames < 4:
+        # _partition needs room for two segments of at least 2 frames
+        raise ConfigError(f"n_frames must be at least 4, got {n_frames}")
     if vocab_size < 20:
         raise ConfigError("vocab_size must be at least 20")
     rng = Rng(seed)

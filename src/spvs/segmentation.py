@@ -3,6 +3,13 @@
 Shots come from exact change-point DP on the dot-product Gram matrix of
 L2-normalized features; summaries pick shots by exact 0/1 knapsack under a
 15%-of-frames budget.  Everything here is a pure function over numpy arrays.
+
+The DP is the textbook O(m T^2) recursion, evaluated in blocks: for each
+number of change points it takes the end frames 64 at a time, adds the
+previous row of the table to that block's rows of the [end, start] cost
+matrix and takes the first minimum along each row.  Each candidate sum and
+the first-minimum tie-break are those of the plain per-end recursion, which
+the tests keep as the reference, so the change points are bitwise the same.
 """
 
 from __future__ import annotations
@@ -16,6 +23,9 @@ from .errors import ConfigError, ContractError, DataError
 
 DEFAULT_BUDGET_FRACTION = 0.15
 DEFAULT_PENALTY = 1.0
+# End frames per DP block.  At T=1024, 32 and 128 rows were 6% and 5%
+# slower than 64, and 16 or 256 rows about 20% slower.
+_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -52,18 +62,32 @@ class Summary:
 
 
 def _segment_costs(K):
-    """cost[i, j] = within-segment scatter of frames i..j (inclusive)."""
+    """cost[e, s] = within-segment scatter of frames s..e (inclusive), +inf for s > e.
+
+    Rows are end frames, so the candidates for one end lie along a contiguous
+    row, and +inf keeps a start after the end from ever being a row minimum.
+    The values are 2-D prefix sums over K, built in place: besides K and the
+    result, at most one (T, T) array is live.
+    """
     n = K.shape[0]
     diag_cum = np.concatenate([[0.0], np.cumsum(np.diag(K))])
     block = np.zeros((n + 1, n + 1))
-    block[1:, 1:] = np.cumsum(np.cumsum(K, axis=0), axis=1)
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    length = (j - i + 1).astype(np.float64)
-    # sum of K over the square [i..j] x [i..j] via 2-D prefix sums
-    sq = block[j + 1, j + 1] - block[i, j + 1] - block[j + 1, i] + block[i, i]
-    cost = (diag_cum[j + 1] - diag_cum[i]) - sq / np.maximum(length, 1.0)
-    cost[j < i] = 0.0
+    np.cumsum(K, axis=0, out=block[1:, 1:])
+    np.cumsum(block[1:, 1:], axis=1, out=block[1:, 1:])
+    corner = np.diag(block)  # corner[k] = block[k, k]
+    # sum of K over the square [s..e] x [s..e]
+    cost = np.empty((n, n))
+    cost[:] = corner[1:, None]
+    cost -= block[:n, 1:].T
+    cost -= block[1:, :n]
+    cost += corner[:n]
+    del block, corner
+    tmp = np.arange(1.0, n + 1.0)[:, None] - np.arange(float(n))  # segment length e - s + 1
+    np.maximum(tmp, 1.0, out=tmp)
+    cost /= tmp
+    np.subtract(diag_cum[1:, None], diag_cum[:n], out=tmp)
+    np.subtract(tmp, cost, out=cost)
+    cost[np.arange(n)[:, None] < np.arange(n)] = np.inf
     return cost
 
 
@@ -79,25 +103,29 @@ def kts_segment(features, max_segments=None, penalty=DEFAULT_PENALTY):
     T = X.shape[0]
     if max_segments is None:
         max_segments = min(math.ceil(T / 10), T - 1)
-    if max_segments >= T:
-        raise ConfigError(f"max_segments ({max_segments}) must be < T ({T})")
+    if not 0 <= max_segments < T:
+        raise ConfigError(f"max_segments ({max_segments}) must be in [0, T) with T = {T}")
 
     norms = np.sqrt((X**2).sum(axis=1, keepdims=True))
     Xn = X / np.maximum(norms, 1e-12)
     cost = _segment_costs(Xn @ Xn.T)
 
     # best[m][t] = min scatter of frames [0, t) split into m+1 segments
-    inf = np.inf
-    best = np.full((max_segments + 1, T + 1), inf)
+    best = np.full((max_segments + 1, T + 1), np.inf)
     back = np.zeros((max_segments + 1, T + 1), dtype=np.int64)
-    best[0, 1:] = cost[0, :T]
+    best[0, 1:] = cost[:, 0]
+    buf = np.empty(_BLOCK_ROWS * T)
+    rows = np.arange(_BLOCK_ROWS)
     for m in range(1, max_segments + 1):
-        # last segment starts at s (s >= m so every earlier segment is nonempty)
-        for t in range(m + 1, T + 1):
-            cand = best[m - 1, m:t] + cost[m:t, t - 1]
-            s = int(cand.argmin())
-            best[m, t] = cand[s]
-            back[m, t] = s + m
+        # the last segment of frames [0, e] starts at s in [m, e], so every
+        # earlier segment is nonempty; cost[e, s] = inf masks s > e
+        for e0 in range(m, T, _BLOCK_ROWS):
+            e1 = min(e0 + _BLOCK_ROWS, T)
+            cand = buf[: (e1 - e0) * (e1 - m)].reshape(e1 - e0, e1 - m)
+            np.add(cost[e0:e1, m:e1], best[m - 1, m:e1], out=cand)
+            s = cand.argmin(axis=1)
+            best[m, e0 + 1 : e1 + 1] = cand[rows[: e1 - e0], s]
+            back[m, e0 + 1 : e1 + 1] = s + m
 
     def objective(m):
         if m == 0:

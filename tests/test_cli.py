@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
+import spvs
 from spvs import cli, dataprep as dp, encoders, progressive, tensorkit as tk
 from spvs.cli import main
 from spvs.errors import FormatError
@@ -473,6 +476,14 @@ def _case_nan_planted(tmp, data):
     return ["segment", "--data", data]
 
 
+def _case_gen_synth_three_frames(tmp, data):
+    return ["gen-synth", "--videos", "2", "--frames", "3", "--dim", "4"]
+
+
+def _case_gen_synth_zero_videos(tmp, data):
+    return ["gen-synth", "--videos", "0", "--frames", "12", "--dim", "4"]
+
+
 @pytest.mark.parametrize("case,code", [
     (_case_missing_scores, 1),
     (_case_unparseable_scores, 1),
@@ -493,6 +504,8 @@ def _case_nan_planted(tmp, data):
     (_case_nan_feature, 1),
     (_case_inf_annotation, 1),
     (_case_nan_planted, 1),
+    (_case_gen_synth_three_frames, 2),
+    (_case_gen_synth_zero_videos, 2),
 ], ids=lambda v: v.__name__[len("_case_"):] if callable(v) else str(v))
 def test_bad_input_file_exit_code(tmp_path, corpus_path, capsys, case, code):
     out = str(tmp_path / "out.json")
@@ -647,3 +660,18 @@ if HAVE_HYPOTHESIS:
                 assert main(argv) in (0, 1, 2)
         finally:
             (work / name).write_bytes((orig / name).read_bytes())
+
+
+@pytest.mark.parametrize("preset,expect", [(None, "1"), ("3", "3")])
+def test_import_pins_openblas_threads(preset, expect):
+    # a fresh interpreter, so that numpy is not loaded before spvs
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = os.path.dirname(os.path.dirname(spvs.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, spvs; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == expect

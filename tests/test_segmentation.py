@@ -33,6 +33,58 @@ def brute_force_kts(X, max_segments, penalty):
     return best
 
 
+def reference_kts(X, max_segments=None, penalty=1.0):
+    """The KTS DP one end frame at a time, over the [start, end] cost matrix.
+
+    Same prefix-sum arithmetic and first-minimum tie-break as kts_segment, so
+    the change points must match it exactly.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    T = X.shape[0]
+    if max_segments is None:
+        max_segments = min(math.ceil(T / 10), T - 1)
+    norms = np.sqrt((X**2).sum(axis=1, keepdims=True))
+    Xn = X / np.maximum(norms, 1e-12)
+    cost = reference_costs(Xn @ Xn.T)
+    best = np.full((max_segments + 1, T + 1), np.inf)
+    back = np.zeros((max_segments + 1, T + 1), dtype=np.int64)
+    best[0, 1:] = cost[0, :T]
+    for m in range(1, max_segments + 1):
+        for t in range(m + 1, T + 1):
+            cand = best[m - 1, m:t] + cost[m:t, t - 1]
+            s = int(cand.argmin())
+            best[m, t] = cand[s]
+            back[m, t] = s + m
+
+    def objective(m):
+        if m == 0:
+            return best[0, T]
+        return best[m, T] + penalty * m * (math.log(T / m) + 1.0)
+
+    m_star = min(range(max_segments + 1), key=objective)
+    cps = []
+    t = T
+    for m in range(m_star, 0, -1):
+        t = int(back[m, t])
+        cps.append(t)
+    return cps[::-1]
+
+
+def reference_costs(K):
+    """cost[i, j] = within-segment scatter of frames i..j, 0 below the diagonal."""
+    n = K.shape[0]
+    diag_cum = np.concatenate([[0.0], np.cumsum(np.diag(K))])
+    block = np.zeros((n + 1, n + 1))
+    block[1:, 1:] = np.cumsum(np.cumsum(K, axis=0), axis=1)
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    length = (j - i + 1).astype(np.float64)
+    sq = block[j + 1, j + 1] - block[i, j + 1] - block[j + 1, i] + block[i, i]
+    cost = (diag_cum[j + 1] - diag_cum[i]) - sq / np.maximum(length, 1.0)
+    cost[j < i] = 0.0
+    return cost
+
+
 def brute_force_knapsack(values, lengths, budget):
     """All 2^k subsets, with the same tie-break rules."""
     k = len(values)
@@ -99,6 +151,45 @@ class TestKts:
         X = rng.normals((24, 4))
         out = seg.kts_segment(X, max_segments=5, penalty=1e6)
         assert out.change_points == []
+
+    @pytest.mark.parametrize("T", [1, 2, 63, 64, 65, 129, 300, 1024])
+    @pytest.mark.parametrize("kind", ["random", "planted", "equal"])
+    def test_matches_reference_dp(self, T, kind):
+        # blocks of 64 end frames: T = 63..65 and 129 put rows on each side
+        # of a block edge, and the brute-force oracle above stops at T = 15
+        rng = np.random.default_rng(T)
+        penalty = 1.0
+        if kind == "equal":
+            # unit rows of 0.5s give K == 1 and every segment a cost of exactly
+            # 0, so every candidate ties; a negative penalty makes the DP use
+            # its cap and trace back through the ties
+            X = np.ones((T, 4))
+            penalty = -1.0
+        else:
+            X = rng.normal(size=(T, 8))
+            if kind == "planted":
+                for cut in rng.choice(np.arange(1, T), size=min(5, T - 1), replace=False):
+                    X[cut:] += rng.normal(size=8)
+        caps = [None] if T > 129 else [None, T - 1]
+        for cap in caps:
+            out = seg.kts_segment(X, max_segments=cap, penalty=penalty)
+            assert out.change_points == reference_kts(X, cap, penalty), cap
+            if kind == "equal":
+                # every tie goes to the earliest start of the last segment
+                assert out.change_points == list(range(1, len(out.change_points) + 1))
+
+    def test_cost_layout(self):
+        X = np.random.default_rng(5).normal(size=(70, 6))
+        Xn = X / np.sqrt((X**2).sum(axis=1, keepdims=True))
+        K = Xn @ Xn.T
+        cost = seg._segment_costs(K)
+        lower = np.tril_indices(70)
+        np.testing.assert_array_equal(cost[lower], reference_costs(K).T[lower])
+        assert np.all(cost[np.triu_indices(70, 1)] == np.inf)
+
+    def test_negative_max_segments(self, rng):
+        with pytest.raises(ConfigError):
+            seg.kts_segment(rng.normals((5, 2)), max_segments=-1)
 
     def test_max_segments_too_large(self, rng):
         with pytest.raises(ConfigError):
