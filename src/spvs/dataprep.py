@@ -8,6 +8,7 @@ relative path to a float32 little-endian sidecar blob.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import warnings
@@ -423,8 +424,14 @@ def gen_synthetic(
     if n_frames < 4:
         # _partition needs room for two segments of at least 2 frames
         raise ConfigError(f"n_frames must be at least 4, got {n_frames}")
+    if d_f < 1:
+        raise ConfigError(f"d_f must be at least 1, got {d_f}")
     if vocab_size < 20:
         raise ConfigError("vocab_size must be at least 20")
+    if code_bits < 0:
+        raise ConfigError(f"code_bits must be at least 0, got {code_bits}")
+    if not math.isfinite(code_scale):
+        raise ConfigError(f"code_scale must be finite, got {code_scale}")
     rng = Rng(seed)
     words_per_topic = max((vocab_size - len(RESERVED) - n_topics) // n_topics, 3)
     bank = build_topic_bank(

@@ -9,7 +9,9 @@ ops in this module.  Design points:
 * the graph is a plain parent-pointer DAG; backward() runs a reverse
   topological sweep and accumulates into Tensor.grad.
 * all randomness flows through Rng (xoshiro256**), which is seedable,
-  platform-independent and supports named sub-streams.
+  platform-independent and supports named sub-streams.  Its array draws
+  (uniforms, normals) run the generator in lanes jumped ahead over GF(2)
+  and give bitwise the values and final state of scalar draws.
 """
 
 from __future__ import annotations
@@ -668,8 +670,18 @@ class Adam:
 
 # ---------------------------------------------------------------------------
 # PRNG: xoshiro256** with named sub-streams
+#
+# Array draws run the generator in lanes.  The state step of xoshiro256** is
+# linear over GF(2) on its 256-bit state, so m steps are one 256x256 bit
+# matrix T^m.  n draws are cut into lanes of K consecutive draws; lane j
+# starts at T^(jK) s, and the lane starts come from s by doubling with the
+# cached T^(2^k).  All lanes then take K steps together as uint64 arrays.
+# Outputs and the final state are bitwise those of n next_u64 calls.
 
 _U64 = (1 << 64) - 1
+_LANE_MIN_DRAWS = 128  # fewer draws than this take the scalar loop
+_APPLY_ROWS = 64  # states per chunk in _gf2_apply: a (64, 4, 256) uint64 temporary
+_JUMPS = []  # _JUMPS[k] is T^(2^k), bit-packed (4, 256): column i is T^(2^k) of bit i
 
 
 def _splitmix64(x):
@@ -691,8 +703,87 @@ def _rotl(x, k):
     return ((x << k) | (x >> (64 - k))) & _U64
 
 
+def _step_lanes(s, t):
+    """One xoshiro256** state step, in place, on the rows s0..s3 of a (4, L) uint64 array."""
+    np.left_shift(s[1], 17, out=t)
+    s[2:4] ^= s[0:2]  # s2 ^= s0; s3 ^= s1
+    s[0:2] ^= s[3:1:-1]  # s1 ^= s2; s0 ^= s3
+    s[2] ^= t
+    np.left_shift(s[3], 45, out=t)
+    s[3] >>= 19
+    s[3] |= t
+
+
+def _gf2_apply(m, states):
+    """Bit matrix m, (4, 256) with column i the image of bit i, applied to
+    each row of a (count, 4) uint64 state array."""
+    bytes_ = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
+    out = np.empty(states.shape, dtype=np.uint64)
+    for i in range(0, len(states), _APPLY_ROWS):
+        bits = np.unpackbits(bytes_[i : i + _APPLY_ROWS], axis=1, bitorder="little")
+        out[i : i + _APPLY_ROWS] = np.bitwise_xor.reduce(bits[:, None, :] * m, axis=2)
+    return out
+
+
+def _jump(k):
+    """T^(2^k), the state step taken 2^k times, as a bit-packed matrix."""
+    if not _JUMPS:
+        bit = np.arange(256)
+        m = np.zeros((4, 256), dtype=np.uint64)
+        m[bit // 64, bit] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+        _step_lanes(m, np.empty(256, dtype=np.uint64))
+        _JUMPS.append(m)
+    while len(_JUMPS) <= k:
+        m = _JUMPS[-1]
+        _JUMPS.append(np.ascontiguousarray(_gf2_apply(m, m.T).T))
+    return _JUMPS[k]
+
+
+def _draw_u64(s, n):
+    """The next n xoshiro256** outputs from state s, and the state after them."""
+    k = math.isqrt(n).bit_length() - 1
+    K = 1 << k  # lane length: the power of two with K <= sqrt(n) < 2K
+    q, r = divmod(n, K)
+    # q + 1 lanes: the last one holds the r remaining draws and the final state
+    starts = np.empty((q + 1, 4), dtype=np.uint64)
+    starts[0] = s
+    filled = 1
+    while filled <= q:
+        add = min(filled, q + 1 - filled)
+        starts[filled : filled + add] = _gf2_apply(_jump(k), starts[:add])
+        filled += add
+        k += 1
+    lanes = np.ascontiguousarray(starts.T)
+    block = np.empty((K, q + 1), dtype=np.uint64)
+    t = np.empty(q + 1, dtype=np.uint64)
+    for step in range(K):
+        if step == r:
+            final = [int(v) for v in lanes[:, q]]
+        block[step] = lanes[1]
+        _step_lanes(lanes, t)
+    # scrambler: rotl(s1 * 5, 7) * 9
+    block *= 5
+    rot = block << 7
+    block >>= 57
+    block |= rot
+    block *= 9
+    return block.T.ravel()[:n], final
+
+
+def _extent(shape):
+    """Element count of an array shape; a negative extent is a ContractError."""
+    dims = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    if any(d < 0 for d in dims):
+        raise ContractError(f"array draw with a negative extent: shape {shape}")
+    return int(math.prod(dims))
+
+
 class Rng:
-    """xoshiro256** generator; identical seed gives identical streams anywhere."""
+    """xoshiro256** generator; identical seed gives identical streams anywhere.
+
+    Array draws (`uniforms`, `normals`) give bitwise the values, and leave
+    the state, that the same number of scalar draws would.
+    """
 
     __slots__ = ("seed", "_s", "_spare")
 
@@ -726,6 +817,13 @@ class Rng:
         self._s = [s0, s1, s2, s3]
         return result
 
+    def _u64s(self, n):
+        """The next n next_u64 outputs as a uint64 array."""
+        if n < _LANE_MIN_DRAWS:
+            return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
+        out, self._s = _draw_u64(self._s, n)
+        return out
+
     def uniform(self, lo=0.0, hi=1.0):
         u = (self.next_u64() >> 11) * (2.0**-53)
         return lo + (hi - lo) * u
@@ -749,18 +847,34 @@ class Rng:
         return mu + sigma * z
 
     def normals(self, shape, mu=0.0, sigma=1.0):
-        n = int(np.prod(shape))
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = self.normal(mu, sigma)
-        return out.reshape(shape)
+        """Box-Muller normals, as `normal` draws them; the spare carries over.
+
+        log, cos and sin are libm's (math), element by element: numpy's own
+        log differs from libm in the last bit on some inputs.
+        """
+        n = _extent(shape)
+        z = np.empty(n, dtype=np.float64)
+        head = 0
+        if n and self._spare is not None:
+            z[0] = self._spare
+            self._spare = None
+            head = 1
+        pairs = (n - head + 1) // 2
+        u = (self._u64s(2 * pairs) >> 11) * (2.0**-53)
+        u1 = np.maximum(u[0::2], 2.0**-53)
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, pairs))
+        theta = (2.0 * math.pi * u[1::2]).tolist()
+        pair = np.empty((pairs, 2), dtype=np.float64)
+        pair[:, 0] = r * np.fromiter(map(math.cos, theta), np.float64, pairs)
+        pair[:, 1] = r * np.fromiter(map(math.sin, theta), np.float64, pairs)
+        z[head:] = pair.ravel()[: n - head]
+        if (n - head) % 2:
+            self._spare = float(pair[-1, 1])
+        return (mu + sigma * z).reshape(shape)
 
     def uniforms(self, shape, lo=0.0, hi=1.0):
-        n = int(np.prod(shape))
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = self.uniform(lo, hi)
-        return out.reshape(shape)
+        u = (self._u64s(_extent(shape)) >> 11) * (2.0**-53)
+        return (lo + (hi - lo) * u).reshape(shape)
 
     def shuffle(self, seq):
         for i in range(len(seq) - 1, 0, -1):

@@ -484,6 +484,26 @@ def _case_gen_synth_zero_videos(tmp, data):
     return ["gen-synth", "--videos", "0", "--frames", "12", "--dim", "4"]
 
 
+def _case_gen_synth_zero_dim(tmp, data):
+    return ["gen-synth", "--videos", "2", "--frames", "12", "--dim", "0"]
+
+
+def _case_gen_synth_negative_dim(tmp, data):
+    return ["gen-synth", "--videos", "2", "--frames", "12", "--dim", "-3"]
+
+
+def _case_gen_synth_negative_code_bits(tmp, data):
+    return ["gen-synth", "--videos", "2", "--frames", "12", "--dim", "4", "--code-bits", "-1"]
+
+
+def _case_gen_synth_nan_code_scale(tmp, data):
+    return ["gen-synth", "--videos", "2", "--frames", "12", "--dim", "4", "--code-scale", "nan"]
+
+
+def _case_gen_synth_inf_code_scale(tmp, data):
+    return ["gen-synth", "--videos", "2", "--frames", "12", "--dim", "4", "--code-scale", "inf"]
+
+
 @pytest.mark.parametrize("case,code", [
     (_case_missing_scores, 1),
     (_case_unparseable_scores, 1),
@@ -506,6 +526,11 @@ def _case_gen_synth_zero_videos(tmp, data):
     (_case_nan_planted, 1),
     (_case_gen_synth_three_frames, 2),
     (_case_gen_synth_zero_videos, 2),
+    (_case_gen_synth_zero_dim, 2),
+    (_case_gen_synth_negative_dim, 2),
+    (_case_gen_synth_negative_code_bits, 2),
+    (_case_gen_synth_nan_code_scale, 2),
+    (_case_gen_synth_inf_code_scale, 2),
 ], ids=lambda v: v.__name__[len("_case_"):] if callable(v) else str(v))
 def test_bad_input_file_exit_code(tmp_path, corpus_path, capsys, case, code):
     out = str(tmp_path / "out.json")

@@ -268,6 +268,22 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             dp.gen_synthetic(n_videos=1, n_frames=10, d_f=4, vocab_size=10)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"d_f": 0}, "d_f"),
+        ({"d_f": -3}, "d_f"),
+        ({"code_bits": -1}, "code_bits"),
+        ({"code_scale": float("nan")}, "code_scale"),
+        ({"code_scale": float("inf")}, "code_scale"),
+    ])
+    def test_bad_argument_named(self, kwargs, name):
+        args = {"n_videos": 1, "n_frames": 10, "d_f": 4, **kwargs}
+        with pytest.raises(ConfigError, match=name):
+            dp.gen_synthetic(**args)
+
+    def test_zero_code_bits_accepted(self):
+        (rec,) = dp.gen_synthetic(n_videos=1, n_frames=10, d_f=4, code_bits=0)
+        assert rec.features.shape == (10, 4)
+
     def test_features_predict_importance_linearly(self):
         # sanity for the planted structure: a least-squares probe from frame
         # features to planted scores should beat predicting the mean

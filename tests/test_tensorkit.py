@@ -318,6 +318,131 @@ class TestAdam:
         np.testing.assert_array_equal(run(), run())
 
 
+def _ref_normals(rng, shape, mu=0.0, sigma=1.0):
+    """Scalar reference for Rng.normals: one Rng.normal call per element."""
+    n = int(np.prod(shape))
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        out[i] = rng.normal(mu, sigma)
+    return out.reshape(shape)
+
+
+def _ref_uniforms(rng, shape, lo=0.0, hi=1.0):
+    """Scalar reference for Rng.uniforms: one Rng.uniform call per element."""
+    n = int(np.prod(shape))
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        out[i] = rng.uniform(lo, hi)
+    return out.reshape(shape)
+
+
+def _same_stream(fast, ref):
+    return fast._s == ref._s and fast._spare == ref._spare
+
+
+# Sizes around the scalar/lane switch and across lane shapes: 0, 1, the
+# threshold +-1, exact powers of four and one past them, and a large draw.
+_DRAW_SIZES = (0, 1, tk._LANE_MIN_DRAWS - 1, tk._LANE_MIN_DRAWS, tk._LANE_MIN_DRAWS + 1,
+               512, 4096, 4097, 20000)
+
+
+class TestRngArrayDraws:
+    """uniforms and normals are bitwise the per-element loops, state included."""
+
+    @pytest.mark.parametrize("n", _DRAW_SIZES)
+    def test_uniforms_match_scalar_loop(self, n):
+        fast, ref = tk.Rng(11), tk.Rng(11)
+        a = fast.uniforms((n,), -0.25, 0.75)
+        b = _ref_uniforms(ref, (n,), -0.25, 0.75)
+        assert a.tobytes() == b.tobytes()
+        assert _same_stream(fast, ref)
+        assert fast.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("n", _DRAW_SIZES)
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_normals_match_scalar_loop(self, n, odd):
+        n += odd
+        fast, ref = tk.Rng(12), tk.Rng(12)
+        a = fast.normals((n,), 0.5, 2.0)
+        b = _ref_normals(ref, (n,), 0.5, 2.0)
+        assert a.tobytes() == b.tobytes()
+        assert _same_stream(fast, ref)
+        assert fast.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("n", [1, 2, tk._LANE_MIN_DRAWS + 1, 4096, 4097])
+    def test_spare_carried_across_calls(self, n):
+        fast, ref = tk.Rng(13), tk.Rng(13)
+        for shape in [(3,), (n,), (n, 2), (1,), (n + 1,)]:
+            a = fast.normals(shape)
+            b = _ref_normals(ref, shape)
+            assert a.shape == b.shape == shape
+            assert a.tobytes() == b.tobytes()
+            assert _same_stream(fast, ref)
+
+    def test_interleaved_with_scalar_draws(self):
+        fast, ref = tk.Rng(14), tk.Rng(14)
+        for n in (5, 300, 1, 2000, 129):
+            assert fast.normals((n,)).tobytes() == _ref_normals(ref, (n,)).tobytes()
+            assert fast.uniform() == ref.uniform()
+            assert fast.normal() == ref.normal()
+            assert fast.next_u64() == ref.next_u64()
+            assert fast.uniforms((n, 3)).tobytes() == _ref_uniforms(ref, (n, 3)).tobytes()
+            assert fast.randint(7) == ref.randint(7)
+            assert _same_stream(fast, ref)
+
+    def test_shapes(self):
+        r = tk.Rng(15)
+        assert r.uniforms(()).shape == ()
+        assert r.normals(4).shape == (4,)
+        assert r.uniforms((2, 0, 3)).shape == (2, 0, 3)
+
+    @pytest.mark.parametrize("shape", [(-3, 4), (-1,), (-2, -2), -5])
+    def test_negative_extent_rejected(self, shape):
+        r = tk.Rng(16)
+        with pytest.raises(ContractError, match="negative"):
+            r.normals(shape)
+        with pytest.raises(ContractError, match="negative"):
+            r.uniforms(shape)
+
+    def test_pinned_values(self):
+        # Rng(7)'s stream; changing these changes every corpus and checkpoint
+        r = tk.Rng(7)
+        assert [r.next_u64() for _ in range(4)] == [
+            12923355070828475994, 5142052590334782674,
+            15488392906492639638, 18098058644649177664,
+        ]
+        assert tk.Rng(7).uniforms((3,)).tolist() == [
+            0.7005764821796896, 0.2787512294737843, 0.8396274618764198,
+        ]
+
+    def _with_reference_draws(self, monkeypatch, fn):
+        monkeypatch.setattr(tk.Rng, "normals", _ref_normals)
+        monkeypatch.setattr(tk.Rng, "uniforms", _ref_uniforms)
+        try:
+            return fn()
+        finally:
+            monkeypatch.undo()
+
+    def test_gen_synthetic_identical_to_reference(self, monkeypatch):
+        from spvs import dataprep
+
+        def corpus():
+            recs = dataprep.gen_synthetic(n_videos=3, n_frames=60, d_f=16, seed=5)
+            return [(r.features.tobytes(), np.asarray(r.annotations).tobytes(),
+                     r.planted_scores.tobytes(), r.text) for r in recs]
+
+        assert corpus() == self._with_reference_draws(monkeypatch, corpus)
+
+    def test_initialize_identical_to_reference(self, monkeypatch):
+        from spvs import encoders
+
+        def weights():
+            w = encoders.ModelWeights.initialize(encoders.EncoderConfig(), 3, tk.Rng(21))
+            return {name: t.data.tobytes() for name, t in w.params.items()}
+
+        assert weights() == self._with_reference_draws(monkeypatch, weights)
+
+
 class TestRng:
     def test_seed_reproducible(self):
         a = tk.Rng(42).normals((10,))
