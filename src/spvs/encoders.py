@@ -270,16 +270,12 @@ class ModelWeights:
 # Forward passes
 
 
-def _linear(x, w, b):
-    return tk.add(tk.matmul(x, w), b)
-
-
 def _attention(x, w, prefix, heads, key_bias):
-    q = _linear(x, w[f"{prefix}.attn.wq"], w[f"{prefix}.attn.bq"])
-    k = _linear(x, w[f"{prefix}.attn.wk"], w[f"{prefix}.attn.bk"])
-    v = _linear(x, w[f"{prefix}.attn.wv"], w[f"{prefix}.attn.bv"])
+    q = tk.linear(x, w[f"{prefix}.attn.wq"], w[f"{prefix}.attn.bq"])
+    k = tk.linear(x, w[f"{prefix}.attn.wk"], w[f"{prefix}.attn.bk"])
+    v = tk.linear(x, w[f"{prefix}.attn.wv"], w[f"{prefix}.attn.bv"])
     merged = tk.attention(q, k, v, heads, key_bias)
-    return _linear(merged, w[f"{prefix}.attn.wo"], w[f"{prefix}.attn.bo"])
+    return tk.linear(merged, w[f"{prefix}.attn.wo"], w[f"{prefix}.attn.bo"])
 
 
 def encoder_stack(x, w, prefix, layers, heads, key_mask=None):
@@ -300,8 +296,8 @@ def encoder_stack(x, w, prefix, layers, heads, key_mask=None):
         a = tk.layer_norm_rows(h, w[f"{base}.ln1.g"], w[f"{base}.ln1.b"])
         h = tk.add(h, _attention(a, w, base, heads, key_bias))
         f = tk.layer_norm_rows(h, w[f"{base}.ln2.g"], w[f"{base}.ln2.b"])
-        f = tk.gelu(_linear(f, w[f"{base}.ffn.w1"], w[f"{base}.ffn.b1"]))
-        f = _linear(f, w[f"{base}.ffn.w2"], w[f"{base}.ffn.b2"])
+        f = tk.gelu(tk.linear(f, w[f"{base}.ffn.w1"], w[f"{base}.ffn.b1"]))
+        f = tk.linear(f, w[f"{base}.ffn.w2"], w[f"{base}.ffn.b2"])
         h = tk.add(h, f)
     if layers:
         h = tk.layer_norm_rows(h, w[f"{prefix}.ln_f.g"], w[f"{prefix}.ln_f.b"])
@@ -354,7 +350,7 @@ def encode_text(w, token_ids):
 def _mlp(w, prefix, x, n_layers, final):
     h = x
     for i in range(n_layers):
-        h = _linear(h, w[f"{prefix}.w{i}"], w[f"{prefix}.b{i}"])
+        h = tk.linear(h, w[f"{prefix}.w{i}"], w[f"{prefix}.b{i}"])
         if i < n_layers - 1:
             h = tk.relu(h)
     if final == "sigmoid":

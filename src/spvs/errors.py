@@ -4,6 +4,7 @@ The CLI maps DataError to exit code 1 and ConfigError to exit code 2;
 everything else is a programming error and propagates.
 """
 
+import contextlib
 import dataclasses
 
 
@@ -21,6 +22,16 @@ class DomainError(SpvsError):
 
 class NumericsError(SpvsError):
     """An operation produced NaN or Inf."""
+
+
+@contextlib.contextmanager
+def numerics_context(where):
+    """Prefix a NumericsError raised in the block with `where` (a step, a
+    fold, video ids), so the message says where the failing op ran."""
+    try:
+        yield
+    except NumericsError as exc:
+        raise NumericsError(f"{where}: {exc}") from exc
 
 
 class ContractError(SpvsError):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import encoders, tensorkit as tk
 from .encoders import CLS_ID, PAD_ID, SEP_ID
-from .errors import ConfigError, ContractError, check_field_types
+from .errors import ConfigError, ContractError, check_field_types, numerics_context
 from .tensorkit import Tensor
 
 
@@ -335,7 +335,8 @@ def pretrain(corpus, w, cfg, rng, out_dir=None, log_path=None):
     try:
         for step in range(1, cfg.steps + 1):
             batch = [sample_pair(corpus, sample_rng, cfg) for _ in range(cfg.batch_size)]
-            report = ssl_step(batch, w, opt, cfg, mask_rng)
+            with numerics_context(f"step {step}"):
+                report = ssl_step(batch, w, opt, cfg, mask_rng)
             report["step"] = step
             history.append(report)
             if log_fh and (step % cfg.log_every == 0 or step == cfg.steps):

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataprep, encoders, metrics, segmentation, tensorkit as tk
-from .errors import CapacityError, ConfigError, ContractError, DataError, check_field_types
+from .errors import (
+    CapacityError,
+    ConfigError,
+    ContractError,
+    DataError,
+    check_field_types,
+    numerics_context,
+)
 from .tensorkit import Rng, Tensor
 
 
@@ -60,7 +67,7 @@ def stage_forward(w, F, n, text_feature=None):
     base = tk.add(G, F)
     if text_feature is not None:
         base = tk.add(base, text_feature)
-    logits = tk.add(tk.matmul(base, w[f"head.stage{n}.w"]), w[f"head.stage{n}.b"])
+    logits = tk.linear(base, w[f"head.stage{n}.w"], w[f"head.stage{n}.b"])
     s = tk.sigmoid(tk.reshape(logits, (F.data.shape[0],)))
     return G, s
 
@@ -178,7 +185,8 @@ def predict_record(w, rec, cfg, vocab=None):
 
 def evaluate_video(w, rec, cfg, vocab=None):
     """Rank metrics vs every annotator plus summary F-score for one video."""
-    s_star = predict_record(w, rec, cfg, vocab)["final_scores"]
+    with numerics_context(f"video {rec.id}"):
+        s_star = predict_record(w, rec, cfg, vocab)["final_scores"]
     report = evaluate_scores(rec, s_star, cfg.budget_fraction)
     report["id"] = rec.id
     if rec.planted_scores is not None:
@@ -213,19 +221,20 @@ def train_on(w, records, cfg, rng, vocab=None):
         for b in range(0, len(ids), cfg.batch_size):
             batch = ids[b : b + cfg.batch_size]
             losses = []
-            for i in batch:
-                rec = records[i]
-                feats, gt = _crop(rec.features, _gt_scores(rec), cfg.max_frames, rng)
-                text_feature = None
-                if cfg.use_text and vocab is not None:
-                    if rec.id not in token_cache:
-                        token_cache[rec.id] = dataprep.assemble_tokens(
-                            rec.text, vocab, mode="summarize"
-                        )
-                    text_feature = text_feature_for(w, token_cache[rec.id])
-                _, s_star = forward_stages(w, Tensor(feats), cfg.stages, text_feature)
-                losses.append(tk.reshape(vs_loss(s_star, gt), (1,)))
-            total = tk.scale(tk.tsum(tk.concat(losses, axis=0)), 1.0 / len(losses))
+            with numerics_context("videos " + ", ".join(records[i].id for i in batch)):
+                for i in batch:
+                    rec = records[i]
+                    feats, gt = _crop(rec.features, _gt_scores(rec), cfg.max_frames, rng)
+                    text_feature = None
+                    if cfg.use_text and vocab is not None:
+                        if rec.id not in token_cache:
+                            token_cache[rec.id] = dataprep.assemble_tokens(
+                                rec.text, vocab, mode="summarize"
+                            )
+                        text_feature = text_feature_for(w, token_cache[rec.id])
+                    _, s_star = forward_stages(w, Tensor(feats), cfg.stages, text_feature)
+                    losses.append(tk.reshape(vs_loss(s_star, gt), (1,)))
+                total = tk.scale(tk.tsum(tk.concat(losses, axis=0)), 1.0 / len(losses))
             opt.zero_grad()
             tk.backward(total)
             opt.step()
@@ -267,8 +276,9 @@ def train(records, cfg, enc_cfg, seed, pretrained_path=None):
         )
         if pretrained_path:
             w.load_pretrained(pretrained_path)
-        train_on(w, train_recs, cfg, rng.substream("loop"), vocab)
-        per_video = [evaluate_video(w, r, cfg, vocab) for r in eval_recs]
+        with numerics_context(f"fold {fold}"):
+            train_on(w, train_recs, cfg, rng.substream("loop"), vocab)
+            per_video = [evaluate_video(w, r, cfg, vocab) for r in eval_recs]
         fold_reports.append({
             "fold": fold,
             "videos": [r["id"] for r in per_video],

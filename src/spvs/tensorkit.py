@@ -5,9 +5,15 @@ ops in this module.  Design points:
 
 * float64 internally; checkpoints store float32 (see save_checkpoint).
 * every op validates that its result is finite; NaN/Inf raises NumericsError
-  at the op that produced it, not three layers later.
+  naming the op that produced it, not three layers later.
 * the graph is a plain parent-pointer DAG; backward() runs a reverse
-  topological sweep and accumulates into Tensor.grad.
+  topological sweep and accumulates into Tensor.grad.  It frees the graph
+  as it goes: once a node has passed its gradient on, its gradient, its
+  parent links and its closure (with the arrays the closure saved) are
+  dropped, so a graph is backpropagated once.  Leaves keep their gradients
+  and every node keeps its .data.
+* linear(a, w, b) is a @ w + b as one node, the building block of every
+  encoder layer and head.
 * all randomness flows through Rng (xoshiro256**), which is seedable,
   platform-independent and supports named sub-streams.  Its array draws
   (uniforms, normals) run the generator in lanes jumped ahead over GF(2)
@@ -51,9 +57,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def item(self):
         if self.data.size != 1:
             raise ContractError(f"item() needs a single element, got shape {self.data.shape}")
@@ -63,16 +66,18 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _check_finite(arr):
+def _check_finite(arr, backward):
     # a finite sum proves every element finite (NaN and Inf propagate); a
     # non-finite sum may be overflow, so only then look element by element
     if not np.isfinite(arr.sum()) and not np.all(np.isfinite(arr)):
-        raise NumericsError("operation produced non-finite values")
+        # the op is named only on failure: "gelu.<locals>.bwd" -> "gelu"
+        op = backward.__qualname__.split(".", 1)[0]
+        raise NumericsError(f"{op}: operation produced non-finite values")
 
 
 def _result(data, parents, backward):
     out = Tensor(data)
-    _check_finite(out.data)
+    _check_finite(out.data, backward)
     out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
@@ -104,12 +109,21 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _released(g):
+    raise ContractError(
+        "backward through a graph that was already backpropagated (its nodes are freed)"
+    )
+
+
 def backward(loss):
     """Reverse sweep from a scalar loss, accumulating into .grad fields.
 
-    Returns the list of visited tensors (useful for zeroing between steps).
-    Parameters not reachable from the loss simply keep grad=None, which the
-    optimizer treats as zero.
+    Each interior node is released as soon as its closure has run: its
+    grad becomes None, its parents () and its closure _released, which
+    raises ContractError if a later backward reaches it.  Leaves keep their
+    gradients.  Returns the list of visited tensors.  Parameters not
+    reachable from the loss simply keep grad=None, which the optimizer
+    treats as zero.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -132,14 +146,14 @@ def backward(loss):
 
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = None
+        node._parents = ()
+        node._backward = _released
     return topo
-
-
-def zero_grads(params):
-    for p in params:
-        p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +354,33 @@ def matmul(a, b):
             _accum(b, a2.T @ g2)
 
     return _result((a2 @ b.data).reshape(a.data.shape[:-1] + (m,)), (a, b), bwd)
+
+
+def linear(a, w, b):
+    """(..., n, k) @ (k, m) + (m,) as one node; the gradients of `w` and
+    `b` sum over the leading axes of `a`."""
+    a, w, b = as_tensor(a), as_tensor(w), as_tensor(b)
+    if a.data.ndim < 2 or w.data.ndim != 2 or a.data.shape[-1] != w.data.shape[0]:
+        raise DimensionError(
+            f"linear: incompatible shapes {a.data.shape} and {w.data.shape}"
+        )
+    k, m = w.data.shape
+    if b.data.shape != (m,):
+        raise DimensionError(f"linear: bias shape {b.data.shape}, expected ({m},)")
+    a2 = a.data.reshape(-1, k)
+    out_data = a2 @ w.data
+    out_data += b.data
+
+    def bwd(g):
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, (m,)))
+        g2 = g.reshape(-1, m)
+        if a.requires_grad:
+            _accum(a, (g2 @ w.data.T).reshape(a.data.shape))
+        if w.requires_grad:
+            _accum(w, a2.T @ g2)
+
+    return _result(out_data.reshape(a.data.shape[:-1] + (m,)), (a, w, b), bwd)
 
 
 def transpose(a):

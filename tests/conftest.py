@@ -30,7 +30,8 @@ def check_gradients(build_loss, params, rng, n_points=20, rtol=1e-4, h=1e-5):
     `build_loss` constructs a fresh scalar loss Tensor from the current
     parameter values; `params` is a list of Tensors with requires_grad.
     """
-    tk.zero_grads(params)
+    for p in params:
+        p.grad = None
     loss = build_loss()
     tk.backward(loss)
 

@@ -52,7 +52,8 @@ def _fd_at(build_loss, tensor, idx, h=1e-5):
 
 
 def _grad_failures(name, build_loss, params, rng, n_points=20, rtol=1e-4):
-    tk.zero_grads(params)
+    for p in params:
+        p.grad = None
     tk.backward(build_loss())
     coords = [(p, idx) for p in params for idx in np.ndindex(p.data.shape)]
     out = []
@@ -186,6 +187,24 @@ def _attention_cases(rng):
     return cases
 
 
+def _linear_cases(rng):
+    """tk.linear over a (T, k) and a batched (B, T, k) input."""
+
+    def t(shape):
+        return Tensor(rng.uniforms(shape, -1.0, 1.0), requires_grad=True)
+
+    cases = []
+    for name, shape in (("linear", (4, 3)), ("linear.batched", (2, 4, 3))):
+        a, w, b = t(shape), t((3, 5)), t((5,))
+        W = np.linspace(0.3, 1.7, int(np.prod(shape[:-1])) * 5).reshape(shape[:-1] + (5,))
+        cases.append((
+            name,
+            lambda a=a, w=w, b=b, W=W: tk.tsum(tk.mul(tk.gelu(tk.linear(a, w, b)), Tensor(W))),
+            [a, w, b],
+        ))
+    return cases
+
+
 def test_criterion_1_gradient_suite(capsys):
     t0 = time.monotonic()
     rng = Rng(424242)
@@ -220,6 +239,9 @@ def test_criterion_1_gradient_suite(capsys):
     attention_rng = Rng(515151)
     for name, build_loss, attention_params in _attention_cases(attention_rng):
         failures += _grad_failures(name, build_loss, attention_params, attention_rng)
+    linear_rng = Rng(626262)
+    for name, build_loss, linear_params in _linear_cases(linear_rng):
+        failures += _grad_failures(name, build_loss, linear_params, linear_rng)
     elapsed = time.monotonic() - t0
     if elapsed > 60.0:
         failures.append(f"gradient suite took {elapsed:.1f}s > 60s")

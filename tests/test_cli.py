@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -610,6 +611,23 @@ class TestRecordWithoutAnnotations:
         self._strip(corpus_path)
         for cmd in (["segment"], ["segment", "--scores", scores], ["summarize", "--scores", scores]):
             assert main(cmd + ["--data", corpus_path, "--out", str(tmp_path / "o.json")]) == 0
+
+
+def test_training_overflow_names_op_fold_and_video(tmp_path, corpus_path, capsys):
+    # features load as float32, so the huge value is planted in an annotation
+    # (float64): the training target then overflows the squared error
+    ids = []
+    _edit_record(corpus_path, lambda obj: (ids.append(obj["id"]),
+                                           obj["annotations"][0].__setitem__(5, 1e308)))
+    with np.errstate(over="ignore"):
+        rc = main(["train", "--data", corpus_path, "--stages", "1", "--epochs", "1",
+                   "--folds", "2", "--out", str(tmp_path / "m")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert re.search(
+        rf"^error: fold \d: videos [^:]*\b{ids[0]}\b[^:]*: mul: operation produced"
+        r" non-finite values$", err, re.M
+    ), err
 
 
 def test_nonfinite_scores_error_names_video(tmp_path, corpus_path, capsys):

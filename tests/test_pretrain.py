@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from spvs import dataprep as dp
 from spvs import encoders, pretrain, tensorkit as tk
-from spvs.errors import ConfigError, ContractError
+from spvs.errors import ConfigError, ContractError, NumericsError
 from spvs.tensorkit import Tensor
 
 from conftest import check_gradients
@@ -313,6 +314,17 @@ class TestSslStep:
         late = np.mean([h["total"] for h in history[-20:]])
         assert late < early
 
+    def test_overflow_names_the_step(self, tiny_cfg, rng):
+        cfg, w, corpus = self._setup(tiny_cfg, rng)
+        cfg.steps = 5
+        cfg.batch_size = 2
+        corpus[0][1][:, 0] = 1e308
+        with np.errstate(all="ignore"), pytest.raises(NumericsError) as info:
+            pretrain.pretrain(corpus, w, cfg, tk.Rng(3))
+        assert re.fullmatch(
+            r"step [1-5]: \w+: operation produced non-finite values", str(info.value)
+        ), str(info.value)
+
     def test_pretrain_is_deterministic(self, tiny_cfg, rng):
         def run():
             cfg, w, corpus = self._setup(tiny_cfg, tk.Rng(8))
@@ -366,7 +378,8 @@ class TestBatchedSslForward:
     @staticmethod
     def _grads(w, out):
         w_params = w.trainable()
-        tk.zero_grads(w_params.values())
+        for p in w_params.values():
+            p.grad = None
         tk.backward(out["total"])
         return {n: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                 for n, p in w_params.items()}

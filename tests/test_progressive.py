@@ -1,9 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from spvs import dataprep as dp
 from spvs import encoders, pretrain, progressive, tensorkit as tk
-from spvs.errors import CapacityError, ConfigError, ContractError, DimensionError
+from spvs.errors import (
+    CapacityError,
+    ConfigError,
+    ContractError,
+    DimensionError,
+    NumericsError,
+)
 from spvs.tensorkit import Tensor
 
 from conftest import check_gradients
@@ -333,6 +341,20 @@ class TestTraining:
         assert not np.array_equal(
             weights[0]["head.stage1.w"].data, weights[1]["head.stage1.w"].data
         )
+
+    @pytest.mark.parametrize("where,label", [(1, "videos"), (0, "video")])
+    def test_overflow_names_op_fold_and_video(self, where, label):
+        # the video trains in fold 0 (where=1) or is evaluated there (where=0)
+        recs = self._corpus(n=6, T=16)
+        vid = next(r for r in recs if progressive.fold_of(r.id, 7, 2) == where)
+        vid.features[3, 0] = 1e308
+        cfg = progressive.SummarizerConfig(stages=3, epochs=1, folds=2, lr=1e-3)
+        with np.errstate(all="ignore"), pytest.raises(NumericsError) as info:
+            progressive.train(recs, cfg, self._enc_cfg(), seed=7)
+        assert re.fullmatch(
+            rf"fold 0: {label} [^:]*\b{vid.id}\b[^:]*: \w+: operation produced non-finite values",
+            str(info.value),
+        ), str(info.value)
 
     def test_evaluate_video_report(self, tiny_weights):
         rec = self._corpus(n=2, T=30)[0]

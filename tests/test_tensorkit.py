@@ -1,10 +1,11 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spvs import tensorkit as tk
+from spvs import progressive, tensorkit as tk
 from spvs.errors import (
     ContractError,
     DimensionError,
@@ -75,6 +76,19 @@ class TestElementwise:
         with pytest.raises(NumericsError):
             tk.exp(Tensor([1000.0]))
 
+    @pytest.mark.parametrize("make,op", [
+        (lambda: tk.exp(Tensor([1000.0])), "exp"),
+        (lambda: tk.mul(Tensor([1e200]), Tensor([1e200])), "mul"),
+        (lambda: tk.gelu(Tensor([0.0, np.nan])), "gelu"),
+        (lambda: tk.linear(Tensor([[1e308, 1e308]]), Tensor([[1.0], [1.0]]), Tensor([0.0])),
+         "linear"),
+    ])
+    def test_nonfinite_error_names_the_op(self, make, op):
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericsError, match=rf"^{op}: operation produced non-finite values$"
+        ):
+            make()
+
 
 class TestReductions:
     def test_softmax_symmetry(self):
@@ -116,7 +130,7 @@ class TestBackward:
 
     def test_detached_tensor_gets_no_gradient(self, rng):
         w = _rand(rng, (3, 2))
-        d = w.detach()
+        d = Tensor(w.data.copy())
         tk.backward(tk.tsum(tk.mul(d, d)))
         assert w.grad is None and d.grad is None
 
@@ -158,6 +172,177 @@ class TestBackward:
             return tk.tmean(tk.mul(h, h))
 
         check_gradients(loss, [a, b], rng, n_points=20)
+
+
+def _reference_backward(loss):
+    """The sweep without release: every node keeps its gradient, parents and
+    closure.  Oracle for the gradients tk.backward computes."""
+    topo = []
+    visited = set()
+    stack = [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited and p.requires_grad:
+                stack.append((p, False))
+
+    loss.grad = np.ones((), dtype=np.float64)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+    return topo
+
+
+def _mixed_graph(x, w, b, g, v):
+    """Shared subexpressions, broadcasting, batch axes and most op kinds."""
+    h = tk.linear(x, w, b)  # (2, 5, 6)
+    a = tk.attention(h, h, tk.gelu(h), 2)
+    n = tk.layer_norm_rows(tk.add(a, h), g, b)
+    m = tk.matmul(tk.relu(n), tk.reshape(v, (6, 3)))
+    s = tk.sigmoid(tk.tsum(tk.mul(m, m), axis=-1))  # (2, 5)
+    r = tk.scale_rows(tk.reshape(tk.narrow(n, 1, 1, axis=0), (5, 6)), tk.reshape(
+        tk.narrow(s, 0, 1), (5,)))
+    c = tk.concat([tk.l2_normalize_rows(r), tk.transpose(tk.softmax_rows(tk.transpose(r)))])
+    return tk.add(tk.tsum(tk.sqrt(tk.add(tk.mul(c, c), 0.5))), tk.tsum(tk.log(tk.add(s, 1.0))))
+
+
+class TestGraphRelease:
+    """backward frees each interior node once its closure has run."""
+
+    @staticmethod
+    def _leaves(rng):
+        return [
+            _rand(rng, (2, 5, 4)),
+            _rand(rng, (4, 6)),
+            _rand(rng, (6,)),
+            Tensor(rng.uniforms((6,), 0.5, 1.5), requires_grad=True),
+            _rand(rng, (18,)),
+        ]
+
+    @staticmethod
+    def _grads(leaves, sweep, build):
+        for p in leaves:
+            p.grad = None
+        visited = sweep(build(*leaves))
+        return len(visited), [None if p.grad is None else p.grad.tobytes() for p in leaves]
+
+    def test_leaf_gradients_bitwise_equal_to_reference(self, rng):
+        leaves = self._leaves(rng)
+        n_ref, ref = self._grads(leaves, _reference_backward, _mixed_graph)
+        n_new, new = self._grads(leaves, tk.backward, _mixed_graph)
+        assert n_new == n_ref
+        assert None not in ref and new == ref
+
+    def test_summarizer_step_gradients_bitwise_equal_to_reference(self, tiny_weights, rng):
+        # a batch of two videos, as progressive.train_on builds it
+        videos = [Tensor(rng.normals((T, 8))) for T in (12, 9)]
+        gts = [rng.uniforms((T,)) for T in (12, 9)]
+        params = list(tiny_weights.trainable().values())
+
+        def build(*_):
+            losses = []
+            for video, gt in zip(videos, gts):
+                _, s_star = progressive.forward_stages(tiny_weights, video, 3)
+                losses.append(tk.reshape(progressive.vs_loss(s_star, gt), (1,)))
+            return tk.scale(tk.tsum(tk.concat(losses, axis=0)), 1.0 / len(losses))
+
+        n_ref, ref = self._grads(params, _reference_backward, build)
+        n_new, new = self._grads(params, tk.backward, build)
+        assert n_new == n_ref
+        assert sum(g is not None for g in ref) > 20 and new == ref
+
+    def test_interior_nodes_are_released(self, rng):
+        leaves = self._leaves(rng)
+        loss = _mixed_graph(*leaves)
+        visited = tk.backward(loss)
+        interior = [t for t in visited if t not in leaves]
+        assert interior and loss in interior
+        for t in interior:
+            assert t.grad is None and t._parents == () and t._backward is tk._released
+            assert t.data is not None
+        assert all(p.grad is not None for p in leaves)
+        assert float(loss.data) == float(_mixed_graph(*leaves).data)
+
+    def test_second_backward_through_a_spent_graph_raises(self, rng):
+        x = _rand(rng, (3, 4))
+        h = tk.gelu(x)
+        tk.backward(tk.tsum(h))
+        with pytest.raises(ContractError, match="already backpropagated"):
+            tk.backward(tk.tsum(tk.mul(h, h)))
+        loss = tk.tsum(tk.gelu(x))
+        tk.backward(loss)
+        with pytest.raises(ContractError):
+            tk.backward(loss)
+
+    @staticmethod
+    def _growth(sweep):
+        """Peak traced memory during the sweep, in (256, 256) float64 arrays,
+        over a chain of 50 gelu(scale(.)) nodes."""
+        x = Tensor(np.linspace(-2.0, 2.0, 256 * 256).reshape(256, 256), requires_grad=True)
+        h = x
+        for _ in range(50):
+            h = tk.gelu(tk.scale(h, 0.9))
+        loss = tk.tsum(h)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sweep(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - base) / x.data.nbytes
+
+    def test_memory_during_backward_does_not_grow_with_depth(self):
+        assert self._growth(_reference_backward) >= 90  # every interior gradient kept
+        assert self._growth(tk.backward) <= 4
+
+
+class TestLinear:
+    """tk.linear is add(matmul(a, w), b) as one node, bit for bit."""
+
+    @staticmethod
+    def _run(fn, a, w, b):
+        for t in (a, w, b):
+            t.grad = None
+        W = np.linspace(0.3, 1.7, a.data.size // a.data.shape[-1] * w.data.shape[1])
+        out = fn(a, w, b)
+        tk.backward(tk.tsum(tk.mul(out, Tensor(W.reshape(out.shape)))))
+        return out.data.tobytes(), [None if t.grad is None else t.grad.tobytes()
+                                    for t in (a, w, b)]
+
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4)])
+    @pytest.mark.parametrize("frozen", [(), ("a",), ("w",), ("b",), ("a", "b")])
+    def test_bitwise_equal_to_add_of_matmul(self, rng, shape, frozen):
+        a = _rand(rng, shape, grad="a" not in frozen)
+        w = _rand(rng, (4, 3), grad="w" not in frozen)
+        b = _rand(rng, (3,), grad="b" not in frozen)
+        fused = self._run(tk.linear, a, w, b)
+        assert fused == self._run(lambda a, w, b: tk.add(tk.matmul(a, w), b), a, w, b)
+        assert [g is None for g in fused[1]] == [n in frozen for n in "awb"]
+
+    def test_one_node(self, rng):
+        a, w, b = _rand(rng, (5, 4)), _rand(rng, (4, 3)), _rand(rng, (3,))
+        out = tk.linear(a, w, b)
+        assert out._parents == (a, w, b)
+        assert len(tk.backward(tk.tsum(out))) == 5
+
+    def test_shape_errors(self, rng):
+        a, w = _rand(rng, (5, 4)), _rand(rng, (4, 3))
+        with pytest.raises(DimensionError, match="bias"):
+            tk.linear(a, w, _rand(rng, (4,)))
+        with pytest.raises(DimensionError, match="bias"):
+            tk.linear(a, w, _rand(rng, (1, 3)))
+        with pytest.raises(DimensionError, match=r"\(5, 4\).*\(3, 3\)"):
+            tk.linear(a, _rand(rng, (3, 3)), _rand(rng, (3,)))
+        with pytest.raises(DimensionError):
+            tk.linear(_rand(rng, (4,)), w, _rand(rng, (3,)))
 
 
 class TestBatchAxes:
